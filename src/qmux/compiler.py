@@ -14,6 +14,7 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 
 from .circuits import Circuit, Gate, decompose_swaps, gate_list_depth
 from .devices import DeviceGraph, qubit_utility
@@ -76,25 +77,26 @@ class RoutedCircuit:
 
 
 class _RegionContext:
-    """Region-local adjacency and error-weighted all-pairs distances."""
+    """Region-local adjacency, qubit utilities and error-weighted all-pairs distances."""
 
     def __init__(self, region: Region, device: DeviceGraph):
         self.qubits = sorted(region.qubits)
-        self.device = device
-        self.adj: dict[int, list[int]] = {q: [] for q in self.qubits}
-        self.edges: list[tuple[int, int]] = []
+        self.adj: dict[int, set[int]] = {q: set() for q in self.qubits}
+        # Region links touching each qubit, for picking swap candidates.
+        self.incident: dict[int, list[tuple[int, int]]] = {q: [] for q in self.qubits}
+        weight: dict[tuple[int, int], float] = {}
         for a, b in device.links:
             if a in region.qubits and b in region.qubits:
-                self.adj[a].append(b)
-                self.adj[b].append(a)
-                self.edges.append((a, b))
-        self.dist = {q: self._dijkstra(q) for q in self.qubits}
+                self.adj[a].add(b)
+                self.adj[b].add(a)
+                self.incident[a].append((a, b))
+                self.incident[b].append((a, b))
+                # -ln(1 - e): low-error links are shorter, so routes prefer them.
+                weight[(a, b)] = weight[(b, a)] = -math.log1p(-device.error_of(a, b))
+        self.dist = {q: self._dijkstra(q, weight) for q in self.qubits}
+        self.utility = {q: qubit_utility(device, q) for q in self.qubits}
 
-    def _edge_weight(self, a: int, b: int) -> float:
-        # -ln(1 - e): low-error links are shorter, so routes prefer them.
-        return -math.log1p(-self.device.error_of(a, b))
-
-    def _dijkstra(self, src: int) -> dict[int, float]:
+    def _dijkstra(self, src: int, weight: dict[tuple[int, int], float]) -> dict[int, float]:
         dist = {src: 0.0}
         heap = [(0.0, src)]
         while heap:
@@ -102,7 +104,7 @@ class _RegionContext:
             if d > dist.get(v, math.inf):
                 continue
             for u in self.adj[v]:
-                nd = d + self._edge_weight(v, u)
+                nd = d + weight[(v, u)]
                 if nd < dist.get(u, math.inf):
                     dist[u] = nd
                     heapq.heappush(heap, (nd, u))
@@ -112,21 +114,41 @@ class _RegionContext:
         return b in self.adj[a]
 
 
-def _interactions(gates) -> dict[int, dict[int, int]]:
+class _GateDag:
+    """An ordered gate list as operand tuples, two-qubit flags and dependencies."""
+
+    def __init__(self, gates: tuple[Gate, ...]):
+        self.gates = gates
+        self.qubits = [g.qubits for g in gates]
+        self.two = [g.is_two_qubit for g in gates]
+        self.twos = [i for i, t in enumerate(self.two) if t]
+        n = len(gates)
+        last_on: dict[int, int] = {}
+        self.succs: list[list[int]] = [[] for _ in range(n)]
+        self.blockers = [0] * n
+        for i, qs in enumerate(self.qubits):
+            for q in qs:
+                if q in last_on:
+                    self.succs[last_on[q]].append(i)
+                    self.blockers[i] += 1
+                last_on[q] = i
+        self.roots = [i for i in range(n) if self.blockers[i] == 0]
+
+
+def _placement_order(circuit: Circuit) -> tuple[list[int], dict[int, list[int]]]:
+    """Interaction-BFS order of the logical qubits, and each qubit's partners.
+
+    The partner lists keep the order the interaction counts were touched in
+    while ordering (zero counts included), which is the order placement sums
+    their distances in.
+    """
+    k = circuit.num_qubits
     inter: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for g in gates:
+    for g in circuit.gates:
         if g.is_two_qubit:
             a, b = g.qubits
             inter[a][b] += 1
             inter[b][a] += 1
-    return inter
-
-
-def _seed_layout(circuit: Circuit, ctx: _RegionContext) -> list[int]:
-    """Interaction-BFS placement onto high-utility region qubits."""
-    k = circuit.num_qubits
-    inter = _interactions(circuit.gates)
-    util = {p: qubit_utility(ctx.device, p) for p in ctx.qubits}
 
     order: list[int] = []
     placed: set[int] = set()
@@ -139,12 +161,57 @@ def _seed_layout(circuit: Circuit, ctx: _RegionContext) -> list[int]:
             nxt = max(cands, key=lambda q: (sum(inter[q].values()), -q))
         order.append(nxt)
         placed.add(nxt)
+    return order, {q: list(inter[q]) for q in range(k)}
 
+
+class _Program:
+    """A circuit lowered once for routing, shared by every region and pass."""
+
+    def __init__(self, circuit: Circuit):
+        src = decompose_swaps(circuit)
+        self.circuit = circuit
+        self.d_in = gate_list_depth(src.gates)
+        self.forward = _GateDag(src.gates)
+        self.backward = _GateDag(src.gates[::-1])
+        self.order, self.partners = _placement_order(src)
+
+
+# Single-entry caches keyed on the identity of immutable inputs, so a hit
+# returns what a rebuild would. compile_on_region calls initial_layout and then
+# route on one circuit and region, and compile_multi_version walks every region
+# of one circuit, so the last entry is the one asked for next. Concurrent
+# callers can only evict each other's entry, which costs a rebuild.
+_last_program: _Program | None = None
+_last_context: tuple[DeviceGraph, Region, _RegionContext] | None = None
+
+
+def _program(circuit: Circuit) -> _Program:
+    global _last_program
+    cached = _last_program
+    if cached is not None and cached.circuit is circuit:
+        return cached
+    _last_program = cached = _Program(circuit)
+    return cached
+
+
+def _region_context(region: Region, device: DeviceGraph) -> _RegionContext:
+    global _last_context
+    cached = _last_context
+    if cached is not None and cached[0] is device and cached[1] == region:
+        return cached[2]
+    ctx = _RegionContext(region, device)
+    _last_context = (device, region, ctx)
+    return ctx
+
+
+def _seed_layout(program: _Program, ctx: _RegionContext) -> list[int]:
+    """Place the logical qubits, in interaction order, onto high-utility region qubits."""
+    util = ctx.utility
     homes: dict[int, int] = {}
     used: set[int] = set()
-    for q in order:
+    for q in program.order:
         free = [p for p in ctx.qubits if p not in used]
-        partners = [homes[p] for p in inter[q] if p in homes]
+        partners = [homes[p] for p in program.partners[q] if p in homes]
         if partners:
             def score(p: int):
                 links = sum(1 for pp in partners if ctx.adjacent(p, pp))
@@ -156,49 +223,42 @@ def _seed_layout(circuit: Circuit, ctx: _RegionContext) -> list[int]:
             best = max(free, key=lambda p: (util[p], -p))
         homes[q] = best
         used.add(best)
-    return [homes[q] for q in range(k)]
+    return [homes[q] for q in range(len(program.order))]
 
 
-def _route_gates(gates, layout: list[int], ctx: _RegionContext) -> RoutedCircuit:
-    """Greedy swap-insertion routing of an already-placed gate list."""
+def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
+    """Greedy swap-insertion routing of an already-placed gate list.
+
+    Returns (ops, final layout, swap count). Each op is (gate index, physical
+    operands) for a routed gate, or (-1, (p0, p1)) for a SWAP; `_materialize`
+    turns them into gates, so passes that only need the layout build none.
+    """
+    qubits, two, twos, succs = dag.qubits, dag.two, dag.twos, dag.succs
+    adj, dist, incident = ctx.adj, ctx.dist, ctx.incident
     layout = list(layout)
     p2l = {p: l for l, p in enumerate(layout)}
 
-    n = len(gates)
-    last_on: dict[int, int] = {}
-    succs: list[list[int]] = [[] for _ in range(n)]
-    blockers = [0] * n
-    for i, g in enumerate(gates):
-        for q in g.qubits:
-            if q in last_on:
-                succs[last_on[q]].append(i)
-                blockers[i] += 1
-            last_on[q] = i
-    front = sorted(i for i in range(n) if blockers[i] == 0)
-
-    out: list[Gate] = []
+    n = len(qubits)
+    blockers = list(dag.blockers)
+    front = list(dag.roots)
+    in_front = [False] * n
+    for i in front:
+        in_front[i] = True
     done = [False] * n
+    first_open = 0  # every two-qubit gate before twos[first_open] is done
+
+    ops: list[tuple[int, tuple[int, ...]]] = []
     swaps = 0
-    decay: dict[tuple[int, int], float] = defaultdict(float)
+    decay: dict[tuple[int, int], float] = {}
     guard = 100 * (n + 10)
     # Swaps since the last executed gate; past this, heuristic scoring has
     # livelocked and one blocked gate gets walked home along a shortest path.
     stuck = 0
     stuck_limit = 2 * len(ctx.qubits) + 4
 
-    def emit(i: int):
-        g = gates[i]
-        out.append(Gate(g.name, tuple(layout[q] for q in g.qubits), g.params))
-        done[i] = True
-        for s in succs[i]:
-            blockers[s] -= 1
-            if blockers[s] == 0:
-                front.append(s)
-        front.sort()
-
     def do_swap(p0: int, p1: int):
         nonlocal swaps
-        out.extend((Gate("cx", (p0, p1)), Gate("cx", (p1, p0)), Gate("cx", (p0, p1))))
+        ops.append((-1, (p0, p1)))
         l0, l1 = p2l.pop(p0, None), p2l.pop(p1, None)
         if l0 is not None:
             layout[l0] = p1
@@ -211,67 +271,103 @@ def _route_gates(gates, layout: list[int], ctx: _RegionContext) -> RoutedCircuit
             raise CompileError("routing failed to converge")
 
     while front:
+        # Sweep the front in index order, executing every gate whose operands
+        # are adjacent; gates this unblocks wait for the next sweep.
         progressed = True
         while progressed:
             progressed = False
-            for i in list(front):
-                g = gates[i]
-                if g.is_two_qubit and not ctx.adjacent(layout[g.qubits[0]], layout[g.qubits[1]]):
-                    continue
-                front.remove(i)
-                emit(i)
+            front.sort()
+            blocked_ids: list[int] = []
+            ready: list[int] = []
+            for i in front:
+                qs = qubits[i]
+                if two[i]:
+                    pa, pb = layout[qs[0]], layout[qs[1]]
+                    if pb not in adj[pa]:
+                        blocked_ids.append(i)
+                        continue
+                    ops.append((i, (pa, pb)))
+                else:
+                    ops.append((i, tuple([layout[q] for q in qs])))
+                in_front[i] = False
+                done[i] = True
+                for s in succs[i]:
+                    blockers[s] -= 1
+                    if blockers[s] == 0:
+                        ready.append(s)
+                        in_front[s] = True
                 progressed = True
+            front = blocked_ids + ready
+            if progressed:
                 stuck = 0
                 decay.clear()
         if not front:
             break
+        # The last sweep executed nothing, so `front` is sorted and all blocked.
 
         if stuck >= stuck_limit:
             # Deterministic bail-out: march the oldest blocked pair together.
-            g = gates[front[0]]
-            pa, pb = layout[g.qubits[0]], layout[g.qubits[1]]
-            while not ctx.adjacent(pa, pb):
-                step = min(ctx.adj[pa], key=lambda u: (ctx.dist[u][pb], u))
+            qs = qubits[front[0]]
+            pa, pb = layout[qs[0]], layout[qs[1]]
+            while pb not in adj[pa]:
+                step = min(adj[pa], key=lambda u: (dist[u][pb], u))
                 do_swap(pa, step)
                 pa = step
             stuck = 0
             continue
 
-        blocked = [gates[i] for i in front]
-        extended: list[Gate] = []
-        for i in range(n):
-            if len(extended) >= _LOOKAHEAD:
-                break
-            if not done[i] and i not in front and gates[i].is_two_qubit:
-                extended.append(gates[i])
+        # Pairs the score sums over, weighted: the blocked front, then the
+        # lookahead (the next pending two-qubit gates not in the front).
+        pairs = [(layout[qubits[i][0]], layout[qubits[i][1]], 1.0) for i in front]
+        n_blocked = len(pairs)
+        while done[twos[first_open]]:
+            first_open += 1
+        for i in islice(twos, first_open, None):
+            if not done[i] and not in_front[i]:
+                a, b = qubits[i]
+                pairs.append((layout[a], layout[b], _EXTENDED_WEIGHT))
+                if len(pairs) == n_blocked + _LOOKAHEAD:
+                    break
 
-        hot = {layout[q] for g in blocked for q in g.qubits}
-        candidates = sorted(e for e in ctx.edges if e[0] in hot or e[1] in hot)
-
-        def score(edge: tuple[int, int]) -> float:
+        candidates = sorted({e for a, b, _ in pairs[:n_blocked] for e in incident[a] + incident[b]})
+        # Score each candidate SWAP by the weighted distance sum of the pairs
+        # after it is applied, added in pair order; the first lowest-scoring
+        # edge in sorted order wins.
+        best = None
+        best_score = 0.0
+        for edge in candidates:
             p0, p1 = edge
-
-            def phys(l: int) -> int:
-                p = layout[l]
-                if p == p0:
-                    return p1
-                if p == p1:
-                    return p0
-                return p
-
-            total = decay[edge]
-            for g in blocked:
-                total += ctx.dist[phys(g.qubits[0])][phys(g.qubits[1])]
-            for g in extended:
-                total += _EXTENDED_WEIGHT * ctx.dist[phys(g.qubits[0])][phys(g.qubits[1])]
-            return total
-
-        best = min(candidates, key=score)
+            total = decay.get(edge, 0.0)
+            for a, b, w in pairs:
+                if a == p0:
+                    a = p1
+                elif a == p1:
+                    a = p0
+                if b == p0:
+                    b = p1
+                elif b == p1:
+                    b = p0
+                total += w * dist[a][b]
+            if best is None or total < best_score:
+                best, best_score = edge, total
         do_swap(*best)
-        decay[best] += _DECAY_STEP
+        decay[best] = decay.get(best, 0.0) + _DECAY_STEP
         stuck += 1
 
-    return RoutedCircuit(tuple(out), tuple(layout), swaps)
+    return ops, tuple(layout), swaps
+
+
+def _materialize(dag: _GateDag, ops) -> tuple[Gate, ...]:
+    """Gates for routing ops; a SWAP becomes its 3-CNOT expansion."""
+    out: list[Gate] = []
+    for i, phys in ops:
+        if i < 0:
+            p0, p1 = phys
+            out.extend((Gate("cx", (p0, p1)), Gate("cx", (p1, p0)), Gate("cx", (p0, p1))))
+        else:
+            g = dag.gates[i]
+            out.append(Gate(g.name, phys, g.params))
+    return tuple(out)
 
 
 def initial_layout(circuit: Circuit, region: Region, device: DeviceGraph) -> tuple[int, ...]:
@@ -280,19 +376,18 @@ def initial_layout(circuit: Circuit, region: Region, device: DeviceGraph) -> tup
     A greedy interaction-aware seed is refined by routing the circuit forward
     and backward three times, keeping the layout each traversal ends with, so
     the final placement reflects how the whole circuit moves qubits around.
+    The refinement passes keep only that layout; no gates are built for them.
     """
     if circuit.num_qubits > len(region.qubits):
         raise CompileError(
             f"{circuit.name!r} needs {circuit.num_qubits} qubits, region has {len(region.qubits)}"
         )
-    src = decompose_swaps(circuit)
-    ctx = _RegionContext(region, device)
-    layout = _seed_layout(src, ctx)
-    forward = list(src.gates)
-    backward = forward[::-1]
+    program = _program(circuit)
+    ctx = _region_context(region, device)
+    layout = _seed_layout(program, ctx)
     for _ in range(_REFINEMENT_PASSES):
-        layout = list(_route_gates(forward, layout, ctx).final_layout)
-        layout = list(_route_gates(backward, layout, ctx).final_layout)
+        layout = _route_gates(program.forward, layout, ctx)[1]
+        layout = _route_gates(program.backward, layout, ctx)[1]
     return tuple(layout)
 
 
@@ -300,12 +395,13 @@ def route(
     circuit: Circuit, region: Region, device: DeviceGraph, layout: tuple[int, ...]
 ) -> RoutedCircuit:
     """Route `circuit` from `layout`, inserting region-local SWAPs as 3 CNOTs."""
-    src = decompose_swaps(circuit)
-    ctx = _RegionContext(region, device)
+    program = _program(circuit)
+    ctx = _region_context(region, device)
     for l, p in enumerate(layout):
         if p not in region.qubits:
             raise CompileError(f"layout places logical {l} on {p}, outside the region")
-    return _route_gates(list(src.gates), list(layout), ctx)
+    ops, final_layout, swaps = _route_gates(program.forward, layout, ctx)
+    return RoutedCircuit(_materialize(program.forward, ops), final_layout, swaps)
 
 
 def region_utility(region: Region, device: DeviceGraph) -> float:
@@ -316,8 +412,7 @@ def compile_on_region(circuit: Circuit, region: Region, device: DeviceGraph) -> 
     """Compile one program onto one region and price the result."""
     if not circuit.gates:
         raise CompileError(f"{circuit.name!r} has no gates to compile")
-    src = decompose_swaps(circuit)
-    d_in = gate_list_depth(src.gates)
+    d_in = _program(circuit).d_in
     layout = initial_layout(circuit, region, device)
     routed = route(circuit, region, device, layout)
     return Executable(

@@ -176,7 +176,7 @@ class CrosstalkMap:
             normalized[_norm_link(a, b)] = float(f)
         object.__setattr__(self, "amplification", normalized)
 
-    @property
+    @cached_property
     def flagged(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.amplification)
 

@@ -28,6 +28,14 @@ def _gate_from_list(item: list) -> Gate:
     return Gate(name, tuple(qubits), tuple(params))
 
 
+def _write_compact(path: str, payload: dict) -> None:
+    # json.dumps without indent runs the C encoder in one go; json.dump and
+    # any indent stream through the pure-Python one, slow on routed gates.
+    text = json.dumps(payload, separators=(",", ":"))
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def executable_to_dict(exe: Executable) -> dict:
     return {
         "program_name": exe.program_name,
@@ -92,9 +100,7 @@ def save_processes(path: str, processes: list[Process]) -> None:
         "format": _FORMAT,
         "processes": [process_to_dict(p) for p in processes],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_compact(path, payload)
 
 
 def load_processes(path: str) -> list[Process]:
@@ -108,9 +114,7 @@ def load_processes(path: str) -> list[Process]:
 def save_executable(path: str, exe: Executable) -> None:
     payload = executable_to_dict(exe)
     payload["format"] = _EXE_FORMAT
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_compact(path, payload)
 
 
 def load_executables(path: str) -> list[Executable]:

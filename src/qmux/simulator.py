@@ -130,7 +130,8 @@ def fidelity(p: Distribution, q: Distribution) -> float:
     """1 minus the total variation distance between two distributions."""
     if p.width != q.width:
         raise SimulationError(f"distribution widths differ: {p.width} vs {q.width}")
-    keys = set(p.outcomes) | set(q.outcomes)
+    # Sorted, so the float sum runs in one order whichever argument comes first.
+    keys = sorted(set(p.outcomes) | set(q.outcomes))
     tvd = 0.5 * sum(abs(p.probability(s) - q.probability(s)) for s in keys)
     return min(1.0, max(0.0, 1.0 - tvd))
 

@@ -1,12 +1,14 @@
 """Layout, routing, cost scoring, and multi-version compilation."""
 
+import hashlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmux.benchmarks import load_benchmark
+from qmux.benchmarks import load_benchmark, suite
 from qmux.circuits import Circuit, Gate, decompose_swaps, gate_list_depth
 from qmux.compiler import (
     compile_multi_version,
@@ -249,3 +251,54 @@ def test_routing_invariants_random(seed, width, n_gates):
     assert fidelity(simulate_ideal(circuit), ideal_executable_distribution(exe)) == pytest.approx(
         1.0, abs=1e-10
     )
+
+
+# sha256 over every executable the bundled suite compiles to on heavyhex27 at
+# m=3 and m=4. Any change to a layout or routing decision changes it; update
+# it only for a routing change that is meant to move decisions.
+GOLDEN_HEAVYHEX27 = "79d5e4bc1d2be2ab86df644c4b4ac2d375c1c780f3844e3cb28c463b3244706c"
+
+
+def test_golden_routing_heavyhex27(heavyhex27):
+    digest = hashlib.sha256()
+    for m in (3, 4):
+        ug = generate_compute_units(heavyhex27, m)
+        for name in suite():
+            for e in compile_multi_version(load_benchmark(name), ug).executables:
+                record = (
+                    e.program_name,
+                    sorted(e.region.unit_ids),
+                    e.layout,
+                    e.final_layout,
+                    e.routed_gates,
+                    e.swap_count,
+                    e.d_in,
+                    e.d_out,
+                    e.region_utility,
+                )
+                digest.update(repr(record).encode())
+    assert digest.hexdigest() == GOLDEN_HEAVYHEX27
+
+
+def test_compile_on_region_is_layout_then_route(heavyhex27, ug27_m4):
+    swaps = 0
+    for name in ("adder_n4", "qaoa_n6", "qft_n4"):
+        circuit = load_benchmark(name)
+        r = math.ceil(circuit.num_qubits / ug27_m4.unit_size)
+        regions = [rg for rg in enumerate_regions(ug27_m4, r) if len(rg.qubits) >= circuit.num_qubits]
+        regions = regions[:3]
+        composed = []
+        for region in regions:
+            layout = initial_layout(circuit, region, heavyhex27)
+            composed.append((layout, route(circuit, region, heavyhex27, layout)))
+        # A fresh parse and the reverse region order: nothing carried over
+        # from the calls above can stand in for this compilation.
+        fresh = load_benchmark(name)
+        for region, (layout, routed) in reversed(list(zip(regions, composed))):
+            exe = compile_on_region(fresh, region, heavyhex27)
+            assert exe.layout == layout
+            assert exe.final_layout == routed.final_layout
+            assert exe.routed_gates == routed.gates
+            assert exe.swap_count == routed.swap_count
+            swaps += routed.swap_count
+    assert swaps > 0
