@@ -12,13 +12,8 @@ from .circuits import parse_qasm
 from .compiler import compile_multi_version
 from .devices import DeviceGraph, load_calibration
 from .errors import QmuxError
-from .harness import (
-    SWEEP_KINDS,
-    cost_fidelity_correlation,
-    run_sweep,
-    worker_count,
-)
-from .orchestrator import STRATEGIES, select_brute_force, select_heuristic
+from .harness import MODES, SWEEP_KINDS, cost_fidelity_correlation, run_sweep
+from .orchestrator import OBJECTIVES, STRATEGIES, select_brute_force, select_heuristic
 from .partition import enumerate_regions, generate_compute_units
 from .simulator import (
     NoiseSpec,
@@ -162,7 +157,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         mode=args.mode,
         strategy=args.strategy,
-        workers=worker_count(),
     )
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
@@ -209,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=10.0)
     p.add_argument("--crosstalk", default=None, help="crosstalk map JSON file")
     p.add_argument("--pure", action="store_true", help="brute force without pruning")
-    p.add_argument("--objective", choices=("index_sum", "relative_rank"), default="index_sum")
+    p.add_argument("--objective", choices=OBJECTIVES, default="index_sum")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_orchestrate)
 
@@ -232,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", required=True)
     p.add_argument("-m", "--unit-size", type=int, default=4)
     p.add_argument("--strategy", choices=STRATEGIES, default="small_first")
-    p.add_argument("--mode", choices=("flamenco", "vanilla", "oracle"), default="flamenco")
+    p.add_argument("--mode", choices=MODES, default="flamenco")
     p.add_argument("--groups", type=int, default=10)
     p.add_argument("--group-size", type=int, default=2)
     p.add_argument("--shots", type=int, default=2**14)

@@ -24,7 +24,7 @@ import math
 import os
 import random
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,7 +32,6 @@ import numpy as np
 from scipy import stats
 
 from .benchmarks import load_benchmark
-from .circuits import Circuit
 from .compiler import Process, compile_multi_version
 from .devices import CrosstalkMap, DeviceGraph, VariationModel, apply_variation
 from .errors import (
@@ -43,6 +42,7 @@ from .errors import (
     SimulationError,
 )
 from .orchestrator import (
+    STRATEGIES,
     Selection,
     _claims,
     _feasible,
@@ -257,11 +257,11 @@ class FidelityExperiment:
         crosstalk: CrosstalkMap | None = None,
         crosstalk_filter: bool = True,
         sim_device: DeviceGraph | None = None,
-        circuit_provider: Callable[[str], Circuit] | None = None,
-        brute_timeout_s: float = 10.0,
     ):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         self.device = device
         self.unit_size = unit_size
         self.mode = mode
@@ -271,8 +271,6 @@ class FidelityExperiment:
         self.crosstalk = crosstalk
         self.crosstalk_filter = crosstalk_filter
         self.sim_device = sim_device if sim_device is not None else device
-        self.provider = circuit_provider if circuit_provider is not None else load_benchmark
-        self.brute_timeout_s = brute_timeout_s
         self.unit_graph: UnitGraph = generate_compute_units(device, unit_size)
         self._processes: dict[str, Process | CompileError] = {}
         self._ideals: dict[str, Distribution] = {}
@@ -281,7 +279,7 @@ class FidelityExperiment:
         cached = self._processes.get(name)
         if cached is None:
             try:
-                cached = compile_multi_version(self.provider(name), self.unit_graph)
+                cached = compile_multi_version(load_benchmark(name), self.unit_graph)
             except CompileError as exc:
                 cached = exc
             self._processes[name] = cached
@@ -291,7 +289,7 @@ class FidelityExperiment:
 
     def ideal_for(self, name: str) -> Distribution:
         if name not in self._ideals:
-            self._ideals[name] = simulate_ideal(self.provider(name))
+            self._ideals[name] = simulate_ideal(load_benchmark(name))
         return self._ideals[name]
 
     def _select(self, processes: list[Process], group_seed: int) -> Selection:
@@ -299,7 +297,7 @@ class FidelityExperiment:
         if self.mode == "vanilla":
             return _select_vanilla(processes, group_seed)
         if self.strategy == "brute_force":
-            return select_brute_force(processes, timeout_s=self.brute_timeout_s, crosstalk=filt)
+            return select_brute_force(processes, crosstalk=filt)
         return select_heuristic(processes, self.strategy, seed=group_seed, crosstalk=filt)
 
     def run_group(self, group: BenchmarkGroup) -> GroupRecord:
@@ -335,8 +333,6 @@ class FidelityExperiment:
             }
             co_claimed = {
                 name: frozenset().union(*(q for other, q in all_claims.items() if other != name))
-                if len(all_claims) > 1
-                else frozenset()
                 for name in all_claims
             }
 
@@ -398,29 +394,11 @@ def run_fidelity_experiment(
     groups: Iterable[BenchmarkGroup],
     device: DeviceGraph,
     unit_size: int,
-    mode: str = "flamenco",
-    strategy: str = "small_first",
-    shots: int = DEFAULT_SHOTS,
-    seed: int = 0,
-    crosstalk: CrosstalkMap | None = None,
-    crosstalk_filter: bool = True,
-    sim_device: DeviceGraph | None = None,
-    circuit_provider: Callable[[str], Circuit] | None = None,
     workers: int | None = None,
+    **options,
 ) -> ExperimentReport:
-    experiment = FidelityExperiment(
-        device,
-        unit_size,
-        mode=mode,
-        strategy=strategy,
-        shots=shots,
-        seed=seed,
-        crosstalk=crosstalk,
-        crosstalk_filter=crosstalk_filter,
-        sim_device=sim_device,
-        circuit_provider=circuit_provider,
-    )
-    return experiment.run(groups, workers=workers)
+    """Run `groups` once; `options` are FidelityExperiment's keyword arguments."""
+    return FidelityExperiment(device, unit_size, **options).run(groups, workers=workers)
 
 
 def worker_count() -> int:
@@ -432,29 +410,21 @@ def worker_count() -> int:
         return 1
 
 
-def sample_crosstalk_map(
-    unit_graph: UnitGraph,
-    seed: int = 0,
-    flag_probability: float = 0.5,
-    factor_range: tuple[float, float] = (2.0, 5.0),
-) -> CrosstalkMap:
-    """Flag cross-unit links at random with amplification factors in a range.
+def sample_crosstalk_map(unit_graph: UnitGraph, seed: int = 0) -> CrosstalkMap:
+    """Flag each cross-unit link with probability 0.5, amplification in [2, 5].
 
     Only links joining different compute units are eligible: those are the
     boundaries where co-running programs can sit next to each other. The
-    factor range default [2, 5] is a free parameter recorded in the map.
+    probability and the factor range are free parameters of this model; the
+    map keeps only the sampled per-link factors.
     """
     rng = random.Random(seed)
-    lo, hi = factor_range
-    if lo < 1.0 or hi < lo:
-        raise ValueError("factor range must satisfy 1 <= lo <= hi")
     amplification = {}
-    device = unit_graph.device
-    for a, b in device.links:
+    for a, b in unit_graph.device.links:
         if unit_graph.qubit_to_unit[a] == unit_graph.qubit_to_unit[b]:
             continue
-        if rng.random() < flag_probability:
-            amplification[(a, b)] = rng.uniform(lo, hi)
+        if rng.random() < 0.5:
+            amplification[(a, b)] = rng.uniform(2.0, 5.0)
     return CrosstalkMap(amplification)
 
 
@@ -486,7 +456,6 @@ def cost_fidelity_correlation(
     names: Sequence[str],
     shots: int = DEFAULT_SHOTS,
     seed: int = 0,
-    circuit_provider: Callable[[str], Circuit] | None = None,
 ) -> CorrelationReport:
     """Spearman correlation between predicted and observed version rankings.
 
@@ -495,18 +464,16 @@ def cost_fidelity_correlation(
     rank orders versions by descending simulated fidelity. Positive
     correlation means the cost metric predicts the fidelity ordering.
     """
-    provider = circuit_provider if circuit_provider is not None else load_benchmark
-    unit_graph = generate_compute_units(device, unit_size)
+    experiment = FidelityExperiment(device, unit_size)
     per_program: dict[str, float] = {}
     for p_idx, name in enumerate(names):
-        circuit = provider(name)
         try:
-            process = compile_multi_version(circuit, unit_graph)
+            process = experiment.process_for(name)
         except CompileError:
             continue
         if len(process.executables) < 3:
             continue
-        ideal = simulate_ideal(circuit)
+        ideal = experiment.ideal_for(name)
         fids = []
         for e_idx, exe in enumerate(process.executables):
             spec = NoiseSpec(shots=shots, seed=_derive_seed(seed, p_idx, e_idx))
@@ -617,7 +584,6 @@ def run_sweep(
     concurrencies: Sequence[int] = (2, 4, 6, 8, 10),
     sigmas: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
     crosstalk_seed: int = 7,
-    circuit_provider: Callable[[str], Circuit] | None = None,
     workers: int | None = None,
 ) -> SweepReport:
     """Run one parameter sweep and collect per-(value, group) rows.
@@ -631,78 +597,31 @@ def run_sweep(
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
-    rows: list[SweepRow] = []
-
-    if kind == "unit_size":
-        groups = generate_groups(suite_names, group_size, group_count, seed)
-        for m in unit_sizes:
-            report = run_fidelity_experiment(
-                groups,
-                device,
-                m,
-                mode=mode,
-                strategy=strategy,
-                shots=shots,
-                seed=seed,
-                circuit_provider=circuit_provider,
-                workers=workers,
-            )
-            rows.extend(SweepRow(float(m), r) for r in report.records)
-
-    elif kind == "concurrency":
+    # (param, groups, experiment options that differ from the base) per point.
+    if kind == "concurrency":
         nested = nested_prefix_groups(suite_names, concurrencies, group_count, seed)
-        for size in sorted(nested):
-            report = run_fidelity_experiment(
-                nested[size],
-                device,
-                unit_size,
-                mode=mode,
-                strategy=strategy,
-                shots=shots,
-                seed=seed,
-                circuit_provider=circuit_provider,
-                workers=workers,
-            )
-            rows.extend(SweepRow(float(size), r) for r in report.records)
-
-    elif kind == "variation":
-        groups = generate_groups(suite_names, group_size, group_count, seed)
-        for sigma in sigmas:
-            drifted = apply_variation(
-                device, VariationModel(mu=0.0, sigma=sigma, seed=crosstalk_seed)
-            )
-            report = run_fidelity_experiment(
-                groups,
-                device,
-                unit_size,
-                mode=mode,
-                strategy=strategy,
-                shots=shots,
-                seed=seed,
-                sim_device=drifted,
-                circuit_provider=circuit_provider,
-                workers=workers,
-            )
-            rows.extend(SweepRow(float(sigma), r) for r in report.records)
-
+        points = [(size, nested[size], {}) for size in sorted(nested)]
     else:
         groups = generate_groups(suite_names, group_size, group_count, seed)
-        unit_graph = generate_compute_units(device, unit_size)
-        xtalk = sample_crosstalk_map(unit_graph, seed=crosstalk_seed)
-        for param, filtered in ((0.0, False), (1.0, True)):
-            report = run_fidelity_experiment(
-                groups,
-                device,
-                unit_size,
-                mode=mode,
-                strategy=strategy,
-                shots=shots,
-                seed=seed,
-                crosstalk=xtalk,
-                crosstalk_filter=filtered,
-                circuit_provider=circuit_provider,
-                workers=workers,
+        if kind == "unit_size":
+            points = [(m, groups, {"unit_size": m}) for m in unit_sizes]
+        elif kind == "variation":
+            points = []
+            for sigma in sigmas:
+                drift = VariationModel(mu=0.0, sigma=sigma, seed=crosstalk_seed)
+                points.append((sigma, groups, {"sim_device": apply_variation(device, drift)}))
+        else:
+            xtalk = sample_crosstalk_map(
+                generate_compute_units(device, unit_size), seed=crosstalk_seed
             )
-            rows.extend(SweepRow(param, r) for r in report.records)
+            points = [
+                (param, groups, {"crosstalk": xtalk, "crosstalk_filter": filtered})
+                for param, filtered in ((0.0, False), (1.0, True))
+            ]
 
+    base = dict(unit_size=unit_size, mode=mode, strategy=strategy, shots=shots, seed=seed)
+    rows: list[SweepRow] = []
+    for param, groups, overrides in points:
+        report = run_fidelity_experiment(groups, device, workers=workers, **(base | overrides))
+        rows.extend(SweepRow(float(param), r) for r in report.records)
     return SweepReport(kind=kind, device_name=device.name, rows=tuple(rows))

@@ -150,17 +150,19 @@ def select_brute_force(
     if n == 0:
         return Selection({}, {}, "brute_force", 0, 0.0)
 
+    # A version's cost is rank / div: the rank itself for index_sum, rank / K_i
+    # for relative_rank.
     if objective == "index_sum":
-        cost_of = [lambda rank, _k=len(p.executables): float(rank) for p in processes]
+        div = [1] * n
         eps = 0.0
     else:
-        cost_of = [lambda rank, _k=len(p.executables): rank / _k for p in processes]
+        div = [len(p.executables) for p in processes]
         eps = 1e-12
     # Cheapest possible completion from each depth: every remaining process
     # contributes its rank-1 cost.
     suffix_min = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + cost_of[i](1)
+        suffix_min[i] = suffix_min[i + 1] + 1 / div[i]
 
     best_vec: list[int] | None = None
     best_cost = 0.0
@@ -187,7 +189,7 @@ def select_brute_force(
             return False
         proc = processes[depth]
         for rank, exe in enumerate(proc.executables, start=1):
-            step = cost_of[depth](rank)
+            step = rank / div[depth]
             if (
                 not pure
                 and best_vec is not None

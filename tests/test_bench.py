@@ -1,6 +1,7 @@
 """Experiment harness: groups, mode comparisons, sweeps, serialization, CLI."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -8,10 +9,13 @@ import pytest
 from qmux.benchmarks import load_benchmark
 from qmux.cli import main
 from qmux.compiler import compile_multi_version
-from qmux.devices import CrosstalkMap
+from qmux.devices import CrosstalkMap, VariationModel, apply_variation
 from qmux.harness import (
+    MODES,
+    SWEEP_KINDS,
     BenchmarkGroup,
     ExperimentReport,
+    FidelityExperiment,
     GroupRecord,
     crosstalk_violations,
     generate_groups,
@@ -283,6 +287,74 @@ def test_crosstalk_sweep_filter_audit(heavyhex27, small_suite, tmp_path):
     assert [entry["param"] for entry in summary["per_param"]] == [0.0, 1.0]
     for entry in summary["per_param"]:
         assert {"param", "groups", "success_ratio", "mean_fidelity"} <= set(entry)
+
+
+SWEEP_SUITE = ("wstate_n3", "adder_n4", "fredkin_n3", "deutsch_n2", "grover_n2", "toffoli_n3")
+
+
+def _comparable(record: GroupRecord) -> dict:
+    """Every record field except the wall-clock selection time."""
+    fields = dataclasses.asdict(record)
+    del fields["selection_elapsed_s"]
+    return fields
+
+
+def _expected_sweep(kind, device, seed, crosstalk_seed):
+    """(param, records) per point, built directly from FidelityExperiment."""
+    groups = generate_groups(SWEEP_SUITE, 2, 2, seed)
+    if kind == "unit_size":
+        points = [(float(m), groups, m, {}) for m in (3, 4)]
+    elif kind == "concurrency":
+        nested = nested_prefix_groups(SWEEP_SUITE, (2, 3), 2, seed)
+        points = [(float(s), nested[s], 4, {}) for s in (2, 3)]
+    elif kind == "variation":
+        points = []
+        for sigma in (0.0, 0.1):
+            drift = VariationModel(mu=0.0, sigma=sigma, seed=crosstalk_seed)
+            points.append((sigma, groups, 4, {"sim_device": apply_variation(device, drift)}))
+    else:
+        xmap = sample_crosstalk_map(generate_compute_units(device, 4), seed=crosstalk_seed)
+        points = [
+            (param, groups, 4, {"crosstalk": xmap, "crosstalk_filter": filtered})
+            for param, filtered in ((0.0, False), (1.0, True))
+        ]
+    return [
+        (param, FidelityExperiment(device, m, shots=64, seed=seed, **options).run(g, workers=1))
+        for param, g, m, options in points
+    ]
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_sweep_rows_match_direct_experiments(kind, heavyhex27):
+    seed, crosstalk_seed = 5, 7
+    sweep = run_sweep(
+        kind,
+        heavyhex27,
+        SWEEP_SUITE,
+        unit_size=4,
+        group_size=2,
+        group_count=2,
+        shots=64,
+        seed=seed,
+        unit_sizes=(3, 4),
+        concurrencies=(2, 3),
+        sigmas=(0.0, 0.1),
+        crosstalk_seed=crosstalk_seed,
+        workers=1,
+    )
+    expected = [
+        (param, _comparable(r))
+        for param, report in _expected_sweep(kind, heavyhex27, seed, crosstalk_seed)
+        for r in report.records
+    ]
+    assert [(row.param, _comparable(row.record)) for row in sweep.rows] == expected
+    assert sweep.kind == kind and sweep.device_name == heavyhex27.name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_unknown_strategy_rejected_in_every_mode(mode, heavyhex27):
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        FidelityExperiment(heavyhex27, 4, mode=mode, strategy="bogus")
 
 
 def test_serialization_roundtrips(ug27_m4, tmp_path):
