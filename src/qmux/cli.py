@@ -125,9 +125,19 @@ def _cmd_run(args) -> int:
     for path in args.executables:
         loaded = serialize.load_executables(path)
         executables.extend(loaded if args.all_versions else loaded[:1])
+    # Each executable runs beside the others' programs; versions of one
+    # program (as with --all-versions) are alternatives, not co-runners.
+    claims: dict[str, set[int]] = {}
+    for exe in executables:
+        claims.setdefault(exe.program_name, set()).update(exe.region.qubits)
     results = []
     for idx, exe in enumerate(executables):
-        spec = NoiseSpec(shots=args.shots, seed=args.seed + idx, crosstalk=crosstalk)
+        co_claimed = frozenset().union(
+            *(qubits for name, qubits in claims.items() if name != exe.program_name)
+        )
+        spec = NoiseSpec(
+            shots=args.shots, seed=args.seed + idx, crosstalk=crosstalk, co_claimed=co_claimed
+        )
         observed = simulate_noisy(exe, spec, device)
         ideal = ideal_executable_distribution(exe)
         results.append(
@@ -146,18 +156,23 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     device = _load_device(args.device)
     suite = args.suite if args.suite else benchmarks.suite()
-    report = run_sweep(
-        args.kind,
-        device,
-        suite,
-        unit_size=args.unit_size,
-        group_size=args.group_size,
-        group_count=args.groups,
-        shots=args.shots,
-        seed=args.seed,
-        mode=args.mode,
-        strategy=args.strategy,
-    )
+    try:
+        report = run_sweep(
+            args.kind,
+            device,
+            suite,
+            unit_size=args.unit_size,
+            group_size=args.group_size,
+            group_count=args.groups,
+            shots=args.shots,
+            seed=args.seed,
+            mode=args.mode,
+            strategy=args.strategy,
+        )
+    except ValueError as exc:
+        # Group generation rejects a suite too small for the requested groups.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     report.write_csv(csv_path)
@@ -212,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", required=True)
     p.add_argument("--shots", type=int, default=2**14)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--crosstalk", default=None)
+    p.add_argument(
+        "--crosstalk", default=None, help="crosstalk map JSON; the other programs' regions are co-runners"
+    )
     p.add_argument(
         "--all-versions",
         action="store_true",

@@ -8,6 +8,14 @@ crosstalk), and readout bits flip independently at the end. Shots sharing an
 error pattern share one trajectory, so the common zero-error case costs a
 single evolution regardless of shot count.
 
+All trajectories of one run are evolved together as the rows of one stacked
+state of shape (rows, 2, ..., 2), one array operation per gate: row 0 is the
+error-free trajectory, and each error pattern joins the stack as a copy of
+row 0 at the gate of its first error. A stack holds at most
+`_BATCH_AMPLITUDES` amplitudes (16 MiB of complex128); more trajectories run
+as consecutive batches, each with its own error-free row. Amplitudes and the
+order of random draws are the same as evolving each trajectory on its own.
+
 Bitstring convention: character i of an outcome corresponds to qubit i.
 """
 
@@ -15,7 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import defaultdict
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +37,7 @@ from .errors import SimulationError
 _MAX_QUBITS = 14
 _PROB_FLOOR = 1e-16
 _ERROR_CAP = 0.999
+_BATCH_AMPLITUDES = 2**20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -49,7 +59,11 @@ _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 
-_PAULIS = (None, _FIXED_1Q["x"], _FIXED_1Q["y"], _FIXED_1Q["z"])
+# Pauli error operators indexed by error code: I, X, Y, Z for one qubit, and
+# for two the 16 products P[a] (x) P[b] with code = 4a + b. Their entries are
+# 0, +-1 and +-i, so applying one is exact in floating point.
+_PAULIS_1Q = np.stack([np.eye(2, dtype=complex), _FIXED_1Q["x"], _FIXED_1Q["y"], _FIXED_1Q["z"]])
+_PAULIS = {1: _PAULIS_1Q, 2: np.stack([np.kron(a, b) for a in _PAULIS_1Q for b in _PAULIS_1Q])}
 
 
 def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -88,19 +102,31 @@ def gate_unitary(name: str, params: tuple[float, ...]) -> np.ndarray:
     raise SimulationError(f"no unitary for gate {name!r}")
 
 
-def _apply_1q(state: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(u, state, axes=([1], [q])), 0, q)
-
-
-def _apply_2q(state: np.ndarray, u: np.ndarray, q0: int, q1: int) -> np.ndarray:
-    out = np.tensordot(u.reshape(2, 2, 2, 2), state, axes=([2, 3], [q0, q1]))
-    return np.moveaxis(out, [0, 1], [q0, q1])
-
-
 def _apply(state: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    if len(qubits) == 1:
-        return _apply_1q(state, u, qubits[0])
-    return _apply_2q(state, u, qubits[0], qubits[1])
+    """Apply a one- or two-qubit unitary to every row of a (rows, 2, ..., 2) state."""
+    k = len(qubits)
+    axes = [q + 1 for q in qubits]
+    out = np.tensordot(u.reshape((2,) * 2 * k), state, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
+def _inject(state: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray, codes: np.ndarray) -> None:
+    """Apply the Pauli error `codes[i]` on `qubits` to row `rows[i]`, in place."""
+    k = len(qubits)
+    axes = [q + 1 for q in qubits]
+    front = list(range(1, k + 1))
+    sub = np.moveaxis(state[rows], axes, front)
+    out = _PAULIS[k][codes] @ sub.reshape(len(rows), 2**k, -1)
+    state[rows] = np.moveaxis(out.reshape(sub.shape), front, axes)
+
+
+def _evolve(num_qubits: int, gates) -> np.ndarray:
+    """One-row stacked state of a noiseless run from |0...0>."""
+    state = np.zeros((1,) + (2,) * num_qubits, dtype=complex)
+    state.flat[0] = 1.0
+    for lq, u in gates:
+        state = _apply(state, u, lq)
+    return state
 
 
 @dataclass(frozen=True)
@@ -150,12 +176,14 @@ def simulate_ideal(circuit: Circuit) -> Distribution:
     n = circuit.num_qubits
     if n > _MAX_QUBITS:
         raise SimulationError(f"{n} qubits exceeds the {_MAX_QUBITS}-qubit dense limit")
-    state = np.zeros((2,) * n, dtype=complex)
-    state[(0,) * n] = 1.0
-    for g in circuit.gates:
-        if g.name in ("barrier", "measure"):
-            continue
-        state = _apply(state, gate_unitary(g.name, g.params), g.qubits)
+    state = _evolve(
+        n,
+        (
+            (g.qubits, gate_unitary(g.name, g.params))
+            for g in circuit.gates
+            if g.name not in ("barrier", "measure")
+        ),
+    )
     probs = np.abs(state.reshape(-1)) ** 2
     return _distribution_from_probs(probs, n)
 
@@ -183,6 +211,15 @@ def _local_frame(executable: Executable):
     return order, {p: i for i, p in enumerate(order)}
 
 
+def _local_gates(executable: Executable, loc: dict[int, int]) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(local operands, unitary) of every routed gate that acts on the state."""
+    return [
+        (tuple(loc[q] for q in g.qubits), gate_unitary(g.name, g.params))
+        for g in executable.routed_gates
+        if g.name not in ("barrier", "measure")
+    ]
+
+
 def _project_logical(probs: np.ndarray, t: int, loc: dict[int, int], executable: Executable) -> np.ndarray:
     """Collapse a local distribution onto logical outcomes in register order."""
     k = executable.num_qubits
@@ -204,13 +241,7 @@ def ideal_executable_distribution(executable: Executable) -> Distribution:
     t = len(order)
     if t > _MAX_QUBITS:
         raise SimulationError(f"executable touches {t} qubits, over the {_MAX_QUBITS} limit")
-    state = np.zeros((2,) * t, dtype=complex)
-    state[(0,) * t] = 1.0
-    for g in executable.routed_gates:
-        if g.name in ("barrier", "measure"):
-            continue
-        lq = tuple(loc[q] for q in g.qubits)
-        state = _apply(state, gate_unitary(g.name, g.params), lq)
+    state = _evolve(t, _local_gates(executable, loc))
     probs = np.abs(state.reshape(-1)) ** 2
     return _distribution_from_probs(_project_logical(probs, t, loc, executable), executable.num_qubits)
 
@@ -224,6 +255,68 @@ def _crosstalk_factor(link: tuple[int, int], noise: NoiseSpec) -> float:
         if (u in link and v in noise.co_claimed) or (v in link and u in noise.co_claimed):
             factor = max(factor, f)
     return factor
+
+
+def _error_sites(
+    executable: Executable, loc: dict[int, int], noise: NoiseSpec, device: DeviceGraph
+) -> list[tuple[int, tuple[int, ...], float]]:
+    """(gate index, local operands, error probability) of every gate that can err.
+
+    Gate indices count the gates `_local_gates` keeps; each gate is at most
+    one site, so sites come in ascending gate order.
+    """
+    factors: dict[tuple[int, int], float] = {}
+    sites = []
+    ops = (g for g in executable.routed_gates if g.name not in ("barrier", "measure"))
+    for gi, g in enumerate(ops):
+        if g.name == "cx":
+            link = tuple(sorted(g.qubits))
+            if link not in factors:
+                factors[link] = _crosstalk_factor(link, noise)
+            p = min(device.error_of(*g.qubits) * factors[link], _ERROR_CAP)
+        elif len(g.qubits) == 1:
+            p = device.qubit_error[g.qubits[0]]
+        else:
+            p = 0.0
+        if p > 0.0:
+            sites.append((gi, tuple(loc[q] for q in g.qubits), p))
+    return sites
+
+
+def _evolve_batch(
+    t: int,
+    gates: list[tuple[tuple[int, ...], np.ndarray]],
+    sites: list[tuple[int, tuple[int, ...], float]],
+    patterns: list[tuple[tuple[int, int], ...]],
+) -> np.ndarray:
+    """Normalized outcome CDF of the error-free trajectory (row 0) and of each pattern.
+
+    `patterns` are sorted, so their first-error gates ascend and the rows in
+    use at any gate are a prefix of the stack.
+    """
+    first = [sites[pat[0][0]][0] for pat in patterns]
+    hits: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
+    for row, pat in enumerate(patterns, start=1):
+        for si, code in pat:
+            hits[si][0].append(row)
+            hits[si][1].append(code)
+    site_at = {gi: si for si, (gi, _, _) in enumerate(sites) if si in hits}
+
+    state = _evolve(t, ())
+    for gi, (lq, u) in enumerate(gates):
+        state = _apply(state, u, lq)
+        active = 1 + bisect_right(first, gi)
+        if active > len(state):
+            state = np.concatenate([state, np.repeat(state[:1], active - len(state), axis=0)])
+        si = site_at.get(gi)
+        if si is not None:
+            rows, codes = hits[si]
+            _inject(state, sites[si][1], np.array(rows), np.array(codes))
+    probs = np.abs(state.reshape(len(state), -1)) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
 
 
 def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph) -> Distribution:
@@ -242,23 +335,8 @@ def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph
     k = executable.num_qubits
     shots = noise.shots
     rng = np.random.default_rng(noise.seed)
-
-    gates: list[tuple[tuple[int, ...], np.ndarray]] = []
-    sites: list[tuple[int, tuple[int, ...], float]] = []
-    for g in executable.routed_gates:
-        if g.name in ("barrier", "measure"):
-            continue
-        lq = tuple(loc[q] for q in g.qubits)
-        gates.append((lq, gate_unitary(g.name, g.params)))
-        if g.name == "cx":
-            p = device.error_of(*g.qubits) * _crosstalk_factor(tuple(g.qubits), noise)
-            p = min(p, _ERROR_CAP)
-        elif len(lq) == 1:
-            p = device.qubit_error[g.qubits[0]]
-        else:
-            p = 0.0
-        if p > 0.0:
-            sites.append((len(gates) - 1, lq, p))
+    gates = _local_gates(executable, loc)
+    sites = _error_sites(executable, loc, noise, device)
 
     # Sample which shots take an error at which site, then group identical
     # patterns so each distinct trajectory is evolved once.
@@ -272,50 +350,27 @@ def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph
         codes = rng.integers(1, n_paulis + 1, size=hits)
         for sh, code in zip(shot_ids, codes):
             events_by_shot[int(sh)].append((si, int(code)))
-
-    patterns: dict[tuple[tuple[int, int], ...], int] = defaultdict(int)
-    for evs in events_by_shot.values():
-        patterns[tuple(sorted(evs))] += 1
-    by_first_gate: dict[int, list[tuple[tuple[tuple[int, int], ...], int]]] = defaultdict(list)
-    for pat, cnt in patterns.items():
-        by_first_gate[sites[pat[0][0]][0]].append((pat, cnt))
-
-    def inject(state: np.ndarray, site_idx: int, code: int) -> np.ndarray:
-        lq = sites[site_idx][1]
-        if len(lq) == 1:
-            return _apply_1q(state, _PAULIS[code], lq[0])
-        a, b = divmod(code, 4)
-        if a:
-            state = _apply_1q(state, _PAULIS[a], lq[0])
-        if b:
-            state = _apply_1q(state, _PAULIS[b], lq[1])
-        return state
-
-    def sample_outcomes(state: np.ndarray, count: int) -> np.ndarray:
-        probs = np.abs(state.reshape(-1)) ** 2
-        probs /= probs.sum()
-        return rng.choice(probs.size, size=count, p=probs)
-
-    drawn: list[np.ndarray] = []
-    state = np.zeros((2,) * t, dtype=complex)
-    state[(0,) * t] = 1.0
-    for gi, (lq, u) in enumerate(gates):
-        state = _apply(state, u, lq)
-        for pat, cnt in sorted(by_first_gate.get(gi, ())):
-            traj = inject(state.copy(), pat[0][0], pat[0][1])
-            nxt = 1
-            for gj in range(gi + 1, len(gates)):
-                traj = _apply(traj, gates[gj][1], gates[gj][0])
-                while nxt < len(pat) and sites[pat[nxt][0]][0] == gj:
-                    traj = inject(traj, pat[nxt][0], pat[nxt][1])
-                    nxt += 1
-            drawn.append(sample_outcomes(traj, cnt))
+    patterns = sorted(Counter(tuple(sorted(evs)) for evs in events_by_shot.values()).items())
     clean = shots - len(events_by_shot)
+
+    # Outcomes are drawn by inverse CDF, pattern by pattern in sorted order and
+    # the error-free shots last: the same uniforms, in the same order, that
+    # Generator.choice(p=...) would draw for each trajectory in turn.
+    uniforms = rng.random(shots)
+    per_batch = (_BATCH_AMPLITUDES >> t) - 1
+    drawn: list[np.ndarray] = []
+    used = 0
+    # With no error pattern, one empty batch still evolves the error-free row.
+    batches = [patterns[i : i + per_batch] for i in range(0, len(patterns), per_batch)] or [[]]
+    for batch in batches:
+        cdf = _evolve_batch(t, gates, sites, [pat for pat, _ in batch])
+        for row, (_, count) in enumerate(batch, start=1):
+            drawn.append(cdf[row].searchsorted(uniforms[used : used + count], side="right"))
+            used += count
     if clean:
-        drawn.append(sample_outcomes(state, clean))
+        drawn.append(cdf[0].searchsorted(uniforms[used:], side="right"))
 
-    local_idx = np.concatenate(drawn) if drawn else np.zeros(0, dtype=np.int64)
-
+    local_idx = np.concatenate(drawn)
     logical = np.zeros(shots, dtype=np.int64)
     for q in range(k):
         home = executable.final_layout[q]

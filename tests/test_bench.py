@@ -31,6 +31,7 @@ from qmux.serialize import (
     executable_from_dict,
     executable_to_dict,
     load_crosstalk_map,
+    load_executables,
     load_processes,
     process_from_dict,
     process_to_dict,
@@ -463,3 +464,43 @@ def test_cli_bench_and_errors(tmp_path):
     assert json.loads((tmp_path / "bench.json").read_text())["kind"] == "variation"
 
     assert main(["partition", "--device", "no-such-device", "-m", "4"]) == 1
+
+
+def test_cli_bench_suite_too_small_for_groups(tmp_path, capsys):
+    # The concurrency kind's largest groups hold 10 programs, more than the suite.
+    argv = "bench --kind concurrency --device heavyhex27 --suite wstate_n3 adder_n4 fredkin_n3"
+    assert main([*argv.split(), "--groups", "2", "--shots", "64", "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_cli_run_crosstalk_between_programs_lowers_fidelity(tmp_path, heavyhex27):
+    out_dir = tmp_path / "compiled"
+    for name in ("wstate_n3", "adder_n4"):
+        assert main(["compile", name, "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
+    (first,) = out_dir.glob("wstate_n3.r1.*.exe.json")
+    region = load_executables(str(first))[0].region.qubits
+    # An adder version on a region next to wstate's, sharing no qubit with it.
+    for path in sorted(out_dir.glob("adder_n4.r*.exe.json")):
+        other = load_executables(str(path))[0].region.qubits
+        between = [l for l in heavyhex27.links if len(set(l) & region) == 1 and len(set(l) & other) == 1]
+        if between and not region & other:
+            second = path
+            break
+    xpath = tmp_path / "xtalk.json"
+    save_crosstalk_map(str(xpath), CrosstalkMap({l: 5.0 for l in between}))
+
+    def fidelities(*argv):
+        out = tmp_path / "run.json"
+        assert main(["run", *argv, "--device", "heavyhex27", "--shots", "4096", "--out", str(out)]) == 0
+        return [r["fidelity_vs_ideal"] for r in json.loads(out.read_text())["results"]]
+
+    plain = fidelities(str(first), str(second))
+    amplified = fidelities(str(first), str(second), "--crosstalk", str(xpath))
+    assert len(amplified) == 2
+    assert all(a < p for a, p in zip(amplified, plain)), (amplified, plain)
+    # Versions of one program are alternatives, not co-runners: alone, the map is inert.
+    manifest = str(out_dir / "wstate_n3.process.json")
+    versions = fidelities(manifest, "--all-versions")
+    assert fidelities(manifest, "--all-versions", "--crosstalk", str(xpath)) == versions
