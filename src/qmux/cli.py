@@ -130,6 +130,15 @@ def _cmd_run(args) -> int:
     claims: dict[str, set[int]] = {}
     for exe in executables:
         claims.setdefault(exe.program_name, set()).update(exe.region.qubits)
+    names = list(claims)
+    for i, first in enumerate(names):
+        for second in names[i + 1 :]:
+            shared = claims[first] & claims[second]
+            if shared:
+                raise QmuxError(
+                    f"{first} and {second} cannot co-run: their executables share "
+                    f"qubits {', '.join(map(str, sorted(shared)))}"
+                )
     results = []
     for idx, exe in enumerate(executables):
         co_claimed = frozenset().union(

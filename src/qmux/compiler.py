@@ -14,6 +14,7 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from .circuits import Circuit, Gate, decompose_swaps, gate_list_depth
@@ -67,6 +68,11 @@ class Process:
     def __post_init__(self):
         if not self.executables:
             raise CompileError(f"process {self.program_name!r} has no executables")
+
+    @cached_property
+    def claim_masks(self) -> tuple[tuple[int, int], ...]:
+        """(unit mask, qubit mask) of each version's region, in rank order."""
+        return tuple((e.region.unit_mask, e.region.qubit_mask) for e in self.executables)
 
 
 @dataclass(frozen=True)

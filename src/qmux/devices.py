@@ -180,6 +180,23 @@ class CrosstalkMap:
     def flagged(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.amplification)
 
+    @cached_property
+    def partner_masks(self) -> dict[int, int]:
+        """Each qubit on a flagged link -> mask of the qubits it shares one with."""
+        partners: dict[int, int] = {}
+        for a, b in self.amplification:
+            partners[a] = partners.get(a, 0) | 1 << b
+            partners[b] = partners.get(b, 0) | 1 << a
+        return partners
+
+    def partners_of(self, qubits) -> int:
+        """Mask of every qubit that a flagged link joins to one of `qubits`."""
+        partners = self.partner_masks
+        mask = 0
+        for q in qubits:
+            mask |= partners.get(q, 0)
+        return mask
+
     def factor(self, a: int, b: int) -> float:
         return self.amplification.get(_norm_link(a, b), 1.0)
 

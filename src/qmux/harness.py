@@ -44,8 +44,6 @@ from .errors import (
 from .orchestrator import (
     STRATEGIES,
     Selection,
-    _claims,
-    _feasible,
     select_brute_force,
     select_heuristic,
 )
@@ -219,23 +217,21 @@ def _select_vanilla(processes: list[Process], seed: int) -> Selection:
     start = time.perf_counter()
     rng = random.Random(seed)
     chosen, indices = {}, {}
-    claimed_units: frozenset[int] = frozenset()
-    claimed_qubits: frozenset[int] = frozenset()
+    claimed = 0
     evaluations = 0
     for proc in processes:
-        feasible = []
-        for rank, exe in enumerate(proc.executables, start=1):
-            evaluations += 1
-            if _feasible(exe, claimed_units, claimed_qubits, None):
-                feasible.append((rank, exe))
+        evaluations += len(proc.executables)
+        feasible = [
+            (rank, exe)
+            for rank, ((units, _), exe) in enumerate(zip(proc.claim_masks, proc.executables), start=1)
+            if not units & claimed
+        ]
         if not feasible:
             raise OrchestrationConflict(proc.program_name)
         rank, exe = rng.choice(feasible)
         chosen[proc.program_name] = exe
         indices[proc.program_name] = rank
-        units, qubits = _claims(exe)
-        claimed_units |= units
-        claimed_qubits |= qubits
+        claimed |= exe.region.unit_mask
     return Selection(chosen, indices, "vanilla", evaluations, time.perf_counter() - start)
 
 

@@ -6,6 +6,16 @@ qubit some already-selected executable claims. The objective is the sum of
 the chosen versions' ranks in their cost-ascending process lists (rank 1 is
 each program's cheapest version), so lower is better and the all-ones vector
 is the unconstrained ideal.
+
+Claims are checked on integer bitmasks. Each region's unit and qubit masks
+are computed once and cached on the region (`Process.claim_masks` lists them
+per version), so a stored table pays for them once across all requests. The
+selectors carry two ints: the units claimed so far, and the qubits forbidden
+so far, the OR of the crosstalk map's flagged-partner masks of every placed
+qubit. A candidate is feasible iff its unit mask misses the first and its
+qubit mask misses the second, which holds exactly when no flagged link joins
+it to a placed qubit, so the selections are those of a check over claim sets
+and every flagged link.
 """
 
 from __future__ import annotations
@@ -43,33 +53,6 @@ class Selection:
         return list(self.chosen.values())
 
 
-def _claims(executable: Executable) -> tuple[frozenset[int], frozenset[int]]:
-    return frozenset(executable.region.unit_ids), frozenset(executable.region.qubits)
-
-
-def _crosstalk_blocked(
-    qubits: frozenset[int], claimed_qubits: frozenset[int], crosstalk: CrosstalkMap | None
-) -> bool:
-    if crosstalk is None or not claimed_qubits:
-        return False
-    for a, b in crosstalk.flagged:
-        if (a in qubits and b in claimed_qubits) or (b in qubits and a in claimed_qubits):
-            return True
-    return False
-
-
-def _feasible(
-    executable: Executable,
-    claimed_units: frozenset[int],
-    claimed_qubits: frozenset[int],
-    crosstalk: CrosstalkMap | None,
-) -> bool:
-    units, qubits = _claims(executable)
-    if units & claimed_units:
-        return False
-    return not _crosstalk_blocked(qubits, claimed_qubits, crosstalk)
-
-
 def _ordered(processes: list[Process], strategy: str, seed: int) -> list[Process]:
     if strategy == "random":
         order = list(processes)
@@ -100,24 +83,22 @@ def select_heuristic(
     order = _ordered(processes, strategy, seed)
     chosen: dict[str, Executable] = {}
     indices: dict[str, int] = {}
-    claimed_units: frozenset[int] = frozenset()
-    claimed_qubits: frozenset[int] = frozenset()
+    claimed = forbidden = 0
     evaluations = 0
     for proc in order:
-        picked = None
-        for rank, exe in enumerate(proc.executables, start=1):
-            evaluations += 1
-            if _feasible(exe, claimed_units, claimed_qubits, crosstalk):
-                picked = (rank, exe)
+        for rank, (units, qubits) in enumerate(proc.claim_masks, start=1):
+            if not (units & claimed or qubits & forbidden):
                 break
-        if picked is None:
+        else:
             raise OrchestrationConflict(proc.program_name)
-        rank, exe = picked
+        # Versions are examined in rank order up to the first feasible one.
+        evaluations += rank
+        exe = proc.executables[rank - 1]
         chosen[proc.program_name] = exe
         indices[proc.program_name] = rank
-        units, qubits = _claims(exe)
-        claimed_units |= units
-        claimed_qubits |= qubits
+        claimed |= units
+        if crosstalk is not None:
+            forbidden |= crosstalk.partners_of(exe.region.qubits)
     elapsed = time.perf_counter() - start
     return Selection(chosen, indices, strategy, evaluations, elapsed)
 
@@ -170,10 +151,8 @@ def select_brute_force(
     timed_out = False
 
     stack_rank: list[int] = []
-    claim_units: list[frozenset[int]] = [frozenset()]
-    claim_qubits: list[frozenset[int]] = [frozenset()]
 
-    def dfs(depth: int, partial: float) -> bool:
+    def dfs(depth: int, partial: float, claimed: int, forbidden: int) -> bool:
         """Returns True when the search should unwind due to timeout."""
         nonlocal best_vec, best_cost, evaluations, timed_out
         if time.perf_counter() > deadline:
@@ -188,29 +167,24 @@ def select_brute_force(
                 best_cost = partial
             return False
         proc = processes[depth]
-        for rank, exe in enumerate(proc.executables, start=1):
-            step = rank / div[depth]
-            if (
-                not pure
-                and best_vec is not None
-                and partial + step + suffix_min[depth + 1] >= best_cost + eps
-            ):
+        d, rest = div[depth], suffix_min[depth + 1]
+        for rank, (units, qubits) in enumerate(proc.claim_masks, start=1):
+            step = rank / d
+            if not pure and best_vec is not None and partial + step + rest >= best_cost + eps:
                 break
-            if not _feasible(exe, claim_units[-1], claim_qubits[-1], crosstalk):
+            if units & claimed or qubits & forbidden:
                 continue
-            units, qubits = _claims(exe)
+            veto = forbidden
+            if crosstalk is not None:
+                veto |= crosstalk.partners_of(proc.executables[rank - 1].region.qubits)
             stack_rank.append(rank)
-            claim_units.append(claim_units[-1] | units)
-            claim_qubits.append(claim_qubits[-1] | qubits)
-            stop = dfs(depth + 1, partial + step)
+            stop = dfs(depth + 1, partial + step, claimed | units, veto)
             stack_rank.pop()
-            claim_units.pop()
-            claim_qubits.pop()
             if stop:
                 return True
         return False
 
-    dfs(0, 0.0)
+    dfs(0, 0.0, 0, 0)
     elapsed = time.perf_counter() - start
 
     if best_vec is None:

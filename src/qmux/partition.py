@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .devices import DeviceGraph, utilities
 from .errors import PartitionError
@@ -57,6 +58,24 @@ class Region:
     def __post_init__(self):
         if not self.unit_ids or not self.qubits:
             raise PartitionError("region must contain at least one unit and one qubit")
+
+    @cached_property
+    def unit_mask(self) -> int:
+        """Bit u set for each unit id u: two regions share a unit iff their masks meet."""
+        return id_mask(self.unit_ids)
+
+    @cached_property
+    def qubit_mask(self) -> int:
+        """Bit q set for each physical qubit q of the region."""
+        return id_mask(self.qubits)
+
+
+def id_mask(ids) -> int:
+    """Integer with bit i set for each non-negative id i."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
 
 
 def _components(nodes: set[int], adj) -> list[list[int]]:

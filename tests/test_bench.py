@@ -504,3 +504,25 @@ def test_cli_run_crosstalk_between_programs_lowers_fidelity(tmp_path, heavyhex27
     manifest = str(out_dir / "wstate_n3.process.json")
     versions = fidelities(manifest, "--all-versions")
     assert fidelities(manifest, "--all-versions", "--crosstalk", str(xpath)) == versions
+
+
+def test_cli_run_rejects_programs_sharing_qubits(tmp_path, capsys):
+    out_dir = tmp_path / "compiled"
+    for name in ("wstate_n3", "fredkin_n3"):
+        assert main(["compile", name, "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
+    (first,) = out_dir.glob("wstate_n3.r1.*.exe.json")
+    (second,) = out_dir.glob("fredkin_n3.r1.*.exe.json")
+    shared = load_executables(str(first))[0].region.qubits & load_executables(str(second))[0].region.qubits
+    assert shared
+    capsys.readouterr()
+    out = tmp_path / "run.json"
+    argv = ["run", str(first), str(second), "--device", "heavyhex27", "--shots", "64", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "wstate_n3" in err and "fredkin_n3" in err
+    assert ", ".join(map(str, sorted(shared))) in err
+    assert not out.exists()
+    # Versions of one program are alternatives and are not checked against each other.
+    manifest = str(out_dir / "wstate_n3.process.json")
+    assert main(["run", manifest, "--all-versions", "--device", "heavyhex27", "--shots", "64", "--out", str(out)]) == 0
