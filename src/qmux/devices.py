@@ -173,6 +173,8 @@ class CrosstalkMap:
         for (a, b), f in self.amplification.items():
             if f < 1.0:
                 raise CalibrationError(f"crosstalk factor {f} on {(a, b)} below 1")
+            if a < 0 or b < 0:
+                raise CalibrationError(f"crosstalk link {(a, b)} has a negative qubit id")
             normalized[_norm_link(a, b)] = float(f)
         object.__setattr__(self, "amplification", normalized)
 
@@ -181,7 +183,7 @@ class CrosstalkMap:
         return frozenset(self.amplification)
 
     @cached_property
-    def partner_masks(self) -> dict[int, int]:
+    def _partner_masks(self) -> dict[int, int]:
         """Each qubit on a flagged link -> mask of the qubits it shares one with."""
         partners: dict[int, int] = {}
         for a, b in self.amplification:
@@ -191,7 +193,7 @@ class CrosstalkMap:
 
     def partners_of(self, qubits) -> int:
         """Mask of every qubit that a flagged link joins to one of `qubits`."""
-        partners = self.partner_masks
+        partners = self._partner_masks
         mask = 0
         for q in qubits:
             mask |= partners.get(q, 0)

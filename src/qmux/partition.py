@@ -58,19 +58,22 @@ class Region:
     def __post_init__(self):
         if not self.unit_ids or not self.qubits:
             raise PartitionError("region must contain at least one unit and one qubit")
+        # Ids are bit positions in the claim masks.
+        if min(self.unit_ids) < 0 or min(self.qubits) < 0:
+            raise PartitionError("region unit and qubit ids must be non-negative")
 
     @cached_property
     def unit_mask(self) -> int:
         """Bit u set for each unit id u: two regions share a unit iff their masks meet."""
-        return id_mask(self.unit_ids)
+        return _id_mask(self.unit_ids)
 
     @cached_property
     def qubit_mask(self) -> int:
         """Bit q set for each physical qubit q of the region."""
-        return id_mask(self.qubits)
+        return _id_mask(self.qubits)
 
 
-def id_mask(ids) -> int:
+def _id_mask(ids) -> int:
     """Integer with bit i set for each non-negative id i."""
     mask = 0
     for i in ids:

@@ -10,7 +10,7 @@ import pytest
 from qmux.circuits import Gate
 from qmux.compiler import Executable, Process
 from qmux.devices import CrosstalkMap
-from qmux.errors import OrchestrationConflict, OrchestrationTimeout
+from qmux.errors import CalibrationError, OrchestrationConflict, OrchestrationTimeout, PartitionError
 from qmux.orchestrator import (
     Selection,
     orchestration_cost_report,
@@ -139,6 +139,16 @@ def test_crosstalk_veto():
             assert not any(
                 (a in qa and b in qb) or (b in qa and a in qb) for a, b in xmap.flagged
             )
+
+
+def test_negative_ids_rejected():
+    # Unit and qubit ids are bit positions in the selectors' claim masks.
+    with pytest.raises(PartitionError, match="non-negative"):
+        Region(frozenset({-1}), frozenset({0}))
+    with pytest.raises(PartitionError, match="non-negative"):
+        Region(frozenset({0}), frozenset({3, -2}))
+    with pytest.raises(CalibrationError, match="negative qubit id"):
+        CrosstalkMap({(-1, 4): 2.0})
 
 
 def test_relative_rank_objective():
