@@ -257,12 +257,15 @@ def test_routing_invariants_random(seed, width, n_gates):
 # m=3 and m=4. Any change to a layout or routing decision changes it; update
 # it only for a routing change that is meant to move decisions.
 GOLDEN_HEAVYHEX27 = "79d5e4bc1d2be2ab86df644c4b4ac2d375c1c780f3844e3cb28c463b3244706c"
+# The same digest on heavyhex27 at m=6, and on heavyhex65 at m=3, 4 and 6.
+GOLDEN_HEAVYHEX27_M6 = "e9d4908d9709ca519038d84cd784ac6d2f3f5f9ba83085f455db878b1ae5e9db"
+GOLDEN_HEAVYHEX65 = "4dda33e6dcb21cad3c118b3deb74672c72204b474e2077190d792151b4816ae7"
 
 
-def test_golden_routing_heavyhex27(heavyhex27):
+def _routing_digest(device, unit_sizes) -> str:
     digest = hashlib.sha256()
-    for m in (3, 4):
-        ug = generate_compute_units(heavyhex27, m)
+    for m in unit_sizes:
+        ug = generate_compute_units(device, m)
         for name in suite():
             for e in compile_multi_version(load_benchmark(name), ug).executables:
                 record = (
@@ -277,7 +280,19 @@ def test_golden_routing_heavyhex27(heavyhex27):
                     e.region_utility,
                 )
                 digest.update(repr(record).encode())
-    assert digest.hexdigest() == GOLDEN_HEAVYHEX27
+    return digest.hexdigest()
+
+
+def test_golden_routing_heavyhex27(heavyhex27):
+    assert _routing_digest(heavyhex27, (3, 4)) == GOLDEN_HEAVYHEX27
+
+
+def test_golden_routing_heavyhex27_m6(heavyhex27):
+    assert _routing_digest(heavyhex27, (6,)) == GOLDEN_HEAVYHEX27_M6
+
+
+def test_golden_routing_heavyhex65(heavyhex65):
+    assert _routing_digest(heavyhex65, (3, 4, 6)) == GOLDEN_HEAVYHEX65
 
 
 def test_compile_on_region_is_layout_then_route(heavyhex27, ug27_m4):
