@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -175,42 +176,58 @@ class _Program:
 
     def __init__(self, circuit: Circuit):
         src = decompose_swaps(circuit)
-        self.circuit = circuit
         self.d_in = gate_list_depth(src.gates)
         self.forward = _GateDag(src.gates)
         self.backward = _GateDag(src.gates[::-1])
         self.order, self.partners = _placement_order(src)
 
 
-# Single-entry caches keyed on the identity of immutable inputs, so a hit
-# returns what a rebuild would. compile_on_region calls initial_layout and then
-# route on one circuit and region, and compile_multi_version walks every region
-# of one circuit, so the last entry is the one asked for next. Concurrent
-# callers can only evict each other's entry, which costs a rebuild.
-_last_program: _Program | None = None
-_last_context: tuple[DeviceGraph, Region, _RegionContext] | None = None
+class _DerivedCache:
+    """Values derived from immutable objects, kept for as long as each object lives.
+
+    Entries are keyed on the owner's identity (a DeviceGraph holds a dict, so
+    it cannot be hashed) and dropped by a weak-reference callback when the
+    owner is collected. The callback runs before the owner's memory is freed,
+    so a recycled id never finds a dead owner's values. A value must not refer
+    to its owner, or the owner never dies. Concurrent callers need no lock:
+    each dict operation is atomic, and callers that miss on the same key each
+    build an equal value and all keep the first one stored.
+    """
+
+    def __init__(self):
+        self._by_owner: dict[int, tuple[weakref.ref, dict]] = {}
+
+    def get(self, owner, key, build):
+        """The value stored for `key` under `owner`, from `build()` on the first call."""
+        owner_id = id(owner)
+        entry = self._by_owner.get(owner_id)
+        if entry is None:
+            # The entry holds the weak reference, which must outlive the owner
+            # for its callback to run.
+            ref = weakref.ref(owner, lambda _ref: self._by_owner.pop(owner_id, None))
+            entry = self._by_owner.setdefault(owner_id, (ref, {}))
+        values = entry[1]
+        value = values.get(key)
+        if value is None:
+            value = values.setdefault(key, build())
+        return value
+
+
+# Each circuit is lowered once, and each region context is built once per
+# device: compile_on_region asks for both twice (layout, then route), and
+# every program compiled on a device shares that device's region contexts.
+_derived = _DerivedCache()
 
 
 def _program(circuit: Circuit) -> _Program:
-    global _last_program
-    cached = _last_program
-    if cached is not None and cached.circuit is circuit:
-        return cached
-    _last_program = cached = _Program(circuit)
-    return cached
+    return _derived.get(circuit, _Program, lambda: _Program(circuit))
 
 
 def _region_context(region: Region, device: DeviceGraph) -> _RegionContext:
-    global _last_context
-    cached = _last_context
-    if cached is not None and cached[0] is device and cached[1] == region:
-        return cached[2]
-    ctx = _RegionContext(region, device)
-    _last_context = (device, region, ctx)
-    return ctx
+    return _derived.get(device, region.qubits, lambda: _RegionContext(region, device))
 
 
-def _seed_layout(program: _Program, ctx: _RegionContext) -> list[int]:
+def _seed_layout(program: _Program, ctx: _RegionContext) -> tuple[int, ...]:
     """Place the logical qubits, in interaction order, onto high-utility region qubits."""
     util = ctx.utility
     homes: dict[int, int] = {}
@@ -229,7 +246,7 @@ def _seed_layout(program: _Program, ctx: _RegionContext) -> list[int]:
             best = max(free, key=lambda p: (util[p], -p))
         homes[q] = best
         used.add(best)
-    return [homes[q] for q in range(len(program.order))]
+    return tuple(homes[q] for q in range(len(program.order)))
 
 
 def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
@@ -380,9 +397,12 @@ def initial_layout(circuit: Circuit, region: Region, device: DeviceGraph) -> tup
     """Pick starting homes for the logical qubits of `circuit` inside `region`.
 
     A greedy interaction-aware seed is refined by routing the circuit forward
-    and backward three times, keeping the layout each traversal ends with, so
-    the final placement reflects how the whole circuit moves qubits around.
-    The refinement passes keep only that layout; no gates are built for them.
+    and backward up to three times, keeping the layout each traversal ends
+    with, so the final placement reflects how the whole circuit moves qubits
+    around. A forward+backward cycle depends on nothing but its starting
+    layout, so once a cycle returns the layout it started from, every later
+    cycle would too and refinement stops. The refinement passes keep only
+    that layout; no gates are built for them.
     """
     if circuit.num_qubits > len(region.qubits):
         raise CompileError(
@@ -392,9 +412,12 @@ def initial_layout(circuit: Circuit, region: Region, device: DeviceGraph) -> tup
     ctx = _region_context(region, device)
     layout = _seed_layout(program, ctx)
     for _ in range(_REFINEMENT_PASSES):
+        start = layout
         layout = _route_gates(program.forward, layout, ctx)[1]
         layout = _route_gates(program.backward, layout, ctx)[1]
-    return tuple(layout)
+        if layout == start:
+            break
+    return layout
 
 
 def route(

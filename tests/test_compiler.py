@@ -1,14 +1,20 @@
 """Layout, routing, cost scoring, and multi-version compilation."""
 
+import gc
 import hashlib
 import math
 import random
+import sys
+import weakref
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmux.benchmarks import load_benchmark, suite
+from qmux import compiler
+from qmux.benchmarks import load_benchmark, load_device, suite
 from qmux.circuits import Circuit, Gate, decompose_swaps, gate_list_depth
 from qmux.compiler import (
     compile_multi_version,
@@ -317,3 +323,102 @@ def test_compile_on_region_is_layout_then_route(heavyhex27, ug27_m4):
             assert exe.swap_count == routed.swap_count
             swaps += routed.swap_count
     assert swaps > 0
+
+
+def _count_calls(monkeypatch, name):
+    """Replace compiler.<name> with a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(compiler, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(compiler, name, counted)
+    return calls
+
+
+def test_region_context_built_once_per_device_region(monkeypatch):
+    built = _count_calls(monkeypatch, "_RegionContext")
+    # Fresh device objects: nothing compiled before this test can be cached for them.
+    devices = [load_device("heavyhex27"), load_device("heavyhex65")]
+    compiled_on = set()
+    for device in devices:
+        for m in (3, 4):
+            ug = generate_compute_units(device, m)
+            for name in suite():
+                for e in compile_multi_version(load_benchmark(name), ug).executables:
+                    compiled_on.add((id(device), e.region.qubits))
+    builds = Counter((id(device), region.qubits) for region, device in built)
+    assert set(builds) == compiled_on
+    assert set(builds.values()) == {1}
+
+
+def test_converged_seed_layout_stops_after_one_cycle(monkeypatch):
+    # The seed puts the only interacting pair on a link, so no pass swaps.
+    dev = make_path(3)
+    region = _whole_device_region(dev)
+    circuit = Circuit("pair", 2, (Gate("cx", (0, 1)), Gate("h", (0,)), Gate("cx", (1, 0))))
+    passes = _count_calls(monkeypatch, "_route_gates")
+    exe = compile_on_region(circuit, region, dev)
+    assert exe.swap_count == 0 and exe.final_layout == exe.layout
+    # One forward+backward cycle that returns its input, then the final route.
+    assert len(passes) == 3
+
+
+def test_moving_layout_refines_all_three_cycles(monkeypatch):
+    # On this circuit every cycle moves the layout, so none is skipped.
+    dev = make_path(5)
+    region = _whole_device_region(dev)
+    pairs = ((3, 2), (4, 2), (1, 3), (0, 2), (3, 2), (3, 4))
+    circuit = Circuit("moving", 5, tuple(Gate("cx", p) for p in pairs))
+    passes = _count_calls(monkeypatch, "_route_gates")
+    compile_on_region(circuit, region, dev)
+    assert len(passes) == 7
+
+
+def test_cache_entries_die_with_their_device_and_circuit():
+    dev = make_path(4)
+    circuit = Circuit("chain", 4, tuple(Gate("cx", (i, i + 1)) for i in range(3)))
+    compile_on_region(circuit, _whole_device_region(dev), dev)
+    keys = (id(dev), id(circuit))
+    assert all(k in compiler._derived._by_owner for k in keys)
+    alive = (weakref.ref(dev), weakref.ref(circuit))
+    del dev, circuit
+    gc.collect()
+    assert all(ref() is None for ref in alive)
+    assert not any(k in compiler._derived._by_owner for k in keys)
+
+
+def test_concurrent_compiles_match_serial():
+    # More workers than cores, and jobs sharing a device, so threads race on
+    # one device's contexts as well as on different devices.
+    jobs = [
+        ("adder_n4", "heavyhex27", 4),
+        ("qaoa_n6", "heavyhex65", 3),
+        ("qft_n4", "heavyhex27", 4),
+        ("wstate_n3", "heavyhex65", 3),
+        ("fredkin_n3", "heavyhex27", 4),
+        ("simon_n6", "heavyhex65", 3),
+    ]
+
+    def compiler_on_fresh_devices():
+        # Device objects of its own, so each run starts with empty caches.
+        devices = {name: load_device(name) for _, name, _ in jobs}
+
+        def compile_job(job):
+            program, device, m = job
+            return compile_multi_version(load_benchmark(program), generate_compute_units(devices[device], m))
+
+        return compile_job
+
+    serial = list(map(compiler_on_fresh_devices(), jobs))
+    threaded_job = compiler_on_fresh_devices()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside cache lookups too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(threaded_job, jobs, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
