@@ -9,9 +9,9 @@ import sys
 
 from . import benchmarks, serialize
 from .circuits import parse_qasm
-from .compiler import compile_multi_version
+from .compiler import Executable, compile_multi_version
 from .devices import DeviceGraph, load_calibration
-from .errors import QmuxError
+from .errors import QmuxError, TopologyMismatch
 from .harness import MODES, SWEEP_KINDS, cost_fidelity_correlation, run_sweep
 from .orchestrator import OBJECTIVES, STRATEGIES, select_brute_force, select_heuristic
 from .partition import enumerate_regions, generate_compute_units
@@ -39,6 +39,23 @@ def _load_program(spec: str):
     if spec in benchmarks.suite():
         return benchmarks.load_benchmark(spec)
     raise QmuxError(f"no such program file or bundled benchmark: {spec!r}")
+
+
+def _check_topology(exe: Executable, device: DeviceGraph) -> None:
+    """Refuse an executable whose qubits or routed links `device` does not have."""
+    outside = sorted(q for q in exe.region.qubits if q >= device.num_qubits)
+    if outside:
+        raise TopologyMismatch(
+            f"{exe.program_name}: region qubits {', '.join(map(str, outside))} are not on "
+            f"{device.name}, which has {device.num_qubits} qubits"
+        )
+    for g in exe.routed_gates:
+        if g.is_two_qubit and not device.has_link(*g.qubits):
+            a, b = g.qubits
+            raise TopologyMismatch(
+                f"{exe.program_name}: routed {g.name} on qubits {a} and {b} needs a link "
+                f"that {device.name} does not have"
+            )
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -125,6 +142,8 @@ def _cmd_run(args) -> int:
     for path in args.executables:
         loaded = serialize.load_executables(path)
         executables.extend(loaded if args.all_versions else loaded[:1])
+    for exe in executables:
+        _check_topology(exe, device)
     # Each executable runs beside the others' programs; versions of one
     # program (as with --all-versions) are alternatives, not co-runners.
     claims: dict[str, set[int]] = {}

@@ -30,6 +30,10 @@ class PartitionError(QmuxError):
     """Invalid partitioning request."""
 
 
+class TopologyMismatch(QmuxError):
+    """An executable's region qubits or routed links are not on the target device."""
+
+
 class CompileError(QmuxError):
     """Compilation failed, e.g. no region can host the program."""
 

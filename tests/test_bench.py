@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qmux.benchmarks import load_benchmark
+from qmux.benchmarks import load_benchmark, load_device
 from qmux.cli import main
 from qmux.compiler import compile_multi_version
 from qmux.devices import CrosstalkMap, VariationModel, apply_variation
@@ -526,3 +526,38 @@ def test_cli_run_rejects_programs_sharing_qubits(tmp_path, capsys):
     # Versions of one program are alternatives and are not checked against each other.
     manifest = str(out_dir / "wstate_n3.process.json")
     assert main(["run", manifest, "--all-versions", "--device", "heavyhex27", "--shots", "64", "--out", str(out)]) == 0
+
+
+def _run_on_other_device(tmp_path, capsys, compiled_for, run_on):
+    """Compile wstate_n3 for one device, run its rank-1 artifact on another; (exe, status, stderr, out)."""
+    out_dir = tmp_path / compiled_for
+    assert main(["compile", "wstate_n3", "--device", compiled_for, "-m", "4", "-o", str(out_dir)]) == 0
+    (artifact,) = out_dir.glob("wstate_n3.r1.*.exe.json")
+    capsys.readouterr()
+    out = tmp_path / "run.json"
+    status = main(["run", str(artifact), "--device", run_on, "--shots", "64", "--out", str(out)])
+    return load_executables(str(artifact))[0], status, capsys.readouterr().err, out
+
+
+def test_cli_run_rejects_links_the_device_lacks(tmp_path, capsys):
+    exe, status, err, out = _run_on_other_device(tmp_path, capsys, "heavyhex27", "heavyhex65")
+    heavyhex65 = load_device("heavyhex65")
+    # Every qubit exists on the larger device; a routed link does not.
+    assert max(exe.region.qubits) < heavyhex65.num_qubits
+    missing = [g.qubits for g in exe.routed_gates if g.is_two_qubit and not heavyhex65.has_link(*g.qubits)]
+    assert missing
+    assert status == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    a, b = missing[0]
+    assert f"on qubits {a} and {b}" in err and "heavyhex65" in err
+    assert not out.exists()
+
+
+def test_cli_run_rejects_qubits_beyond_the_device(tmp_path, capsys):
+    exe, status, err, out = _run_on_other_device(tmp_path, capsys, "heavyhex65", "heavyhex27")
+    outside = sorted(q for q in exe.region.qubits if q >= 27)
+    assert outside
+    assert status == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ", ".join(map(str, outside)) in err and "heavyhex27" in err
+    assert not out.exists()
