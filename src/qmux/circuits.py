@@ -97,16 +97,6 @@ class Circuit:
             if gate.name == "measure":
                 measured.add(gate.qubits[0])
 
-    @property
-    def num_gates(self) -> int:
-        return len(self.gates)
-
-    def counts_by_name(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for g in self.gates:
-            out[g.name] = out.get(g.name, 0) + 1
-        return out
-
 
 def gate_list_depth(gates) -> int:
     """Depth of an ordered gate list: longest chain of operand-sharing gates."""

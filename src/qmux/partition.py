@@ -100,12 +100,6 @@ def _components(nodes: set[int], adj) -> list[list[int]]:
     return comps
 
 
-def _is_connected(nodes: set[int], adj) -> bool:
-    if not nodes:
-        return False
-    return len(_components(nodes, adj)) == 1
-
-
 def _partition_graph(nodes, adj, weight_of, size) -> list[list[int]]:
     """Greedy decomposition into connected groups of `size` nodes.
 
