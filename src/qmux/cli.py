@@ -136,6 +136,10 @@ def _cmd_orchestrate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.all_versions and len(args.executables) > 1:
+        raise QmuxError(
+            f"--all-versions runs the versions of one program; got {len(args.executables)} programs"
+        )
     device = _load_device(args.device)
     crosstalk = serialize.load_crosstalk_map(args.crosstalk) if args.crosstalk else None
     executables = []
@@ -261,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--all-versions",
         action="store_true",
-        help="simulate every version in a manifest, not just rank 1",
+        help="simulate every version in one program's manifest, not just rank 1",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_run)

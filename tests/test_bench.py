@@ -561,3 +561,19 @@ def test_cli_run_rejects_qubits_beyond_the_device(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     assert ", ".join(map(str, outside)) in err and "heavyhex27" in err
     assert not out.exists()
+
+
+def test_cli_run_all_versions_refuses_several_programs(tmp_path, capsys):
+    out_dir = tmp_path / "compiled"
+    for name in ("wstate_n3", "adder_n4"):
+        assert main(["compile", name, "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
+    manifests = [str(out_dir / f"{name}.process.json") for name in ("wstate_n3", "adder_n4")]
+    out = tmp_path / "run.json"
+    # The combination is refused before the device or any manifest is read.
+    for device in ("heavyhex27", "no-such-device"):
+        capsys.readouterr()
+        argv = ["run", *manifests, "--all-versions", "--device", device, "--shots", "64", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --all-versions runs the versions of one program; got 2 programs\n"
+        assert not out.exists()
