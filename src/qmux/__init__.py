@@ -78,6 +78,7 @@ from .partition import (
 from .simulator import (
     Distribution,
     NoiseSpec,
+    SimulationStats,
     estimate_qpu_time,
     fidelity,
     ideal_executable_distribution,
@@ -113,6 +114,7 @@ __all__ = [
     "Region",
     "Selection",
     "SimulationError",
+    "SimulationStats",
     "SweepReport",
     "UnitGraph",
     "VariationModel",

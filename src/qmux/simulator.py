@@ -9,12 +9,22 @@ error pattern share one trajectory, so the common zero-error case costs a
 single evolution regardless of shot count.
 
 All trajectories of one run are evolved together as the rows of one stacked
-state of shape (rows, 2, ..., 2), one array operation per gate: row 0 is the
-error-free trajectory, and each error pattern joins the stack as a copy of
-row 0 at the gate of its first error. A stack holds at most
-`_BATCH_AMPLITUDES` amplitudes (16 MiB of complex128); more trajectories run
-as consecutive batches, each with its own error-free row. Amplitudes and the
-order of random draws are the same as evolving each trajectory on its own.
+state of shape (rows, 2, ..., 2): row 0 is the error-free trajectory, and
+each error pattern joins the stack as a copy of row 0 at the gate of its
+first error. The stack is allocated once per batch with a row for every
+pattern, and each gate acts in place on the prefix of rows in use. A stack
+holds at most `_BATCH_AMPLITUDES` amplitudes (16 MiB of complex128); more
+trajectories run as consecutive batches, each with its own error-free row.
+
+Each gate is one kernel call on the rows in use. `x`, `cx` and `swap` only
+move amplitudes, so they exchange two slices of the stack and do no
+arithmetic. Every other gate makes the one matrix product that
+`np.tensordot` would make (the gate's axes moved to the front and the rest
+flattened), and writes the result back in place. Error patterns are grouped
+with numpy sorts, and each site's Pauli errors are applied to all the rows
+that take one by a single gather, batched product and scatter. Amplitudes
+and the order of random draws are the same as evolving each trajectory on
+its own with `np.tensordot`.
 
 Bitstring convention: character i of an outcome corresponds to qubit i.
 """
@@ -23,9 +33,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +67,9 @@ _CX = np.array(
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+# Gates that only move amplitudes between basis states; they are applied by
+# exchanging slices, which is exact.
+_PERMUTATIONS = frozenset({"x", "cx", "swap"})
 
 # Pauli error operators indexed by error code: I, X, Y, Z for one qubit, and
 # for two the 16 products P[a] (x) P[b] with code = 4a + b. Their entries are
@@ -102,40 +114,107 @@ def gate_unitary(name: str, params: tuple[float, ...]) -> np.ndarray:
     raise SimulationError(f"no unitary for gate {name!r}")
 
 
-def _apply(state: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Apply a one- or two-qubit unitary to every row of a (rows, 2, ..., 2) state."""
-    k = len(qubits)
-    axes = [q + 1 for q in qubits]
-    out = np.tensordot(u.reshape((2,) * 2 * k), state, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
+@lru_cache(maxsize=None)
+def _gate_axes_first(ndim: int, qubits: tuple[int, ...]) -> tuple[int, ...]:
+    """Axis order of a stacked state that puts the axes of `qubits` first, the rest in order."""
+    lead = tuple(q + 1 for q in qubits)
+    return lead + tuple(a for a in range(ndim) if a not in lead)
+
+
+@lru_cache(maxsize=None)
+def _rows_then_gate_axes(ndim: int, qubits: tuple[int, ...]) -> tuple[int, ...]:
+    """Axis order that keeps the row axis first and puts the axes of `qubits` next."""
+    return (0,) + tuple(a for a in _gate_axes_first(ndim, qubits) if a)
+
+
+def _apply(state: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) -> None:
+    """Apply a one- or two-qubit unitary to every row of a (rows, 2, ..., 2) state, in place.
+
+    This is the matrix product `np.tensordot` makes for the same contraction,
+    on the same operands, so the amplitudes are bit-identical to it.
+    """
+    moved = state.transpose(_gate_axes_first(state.ndim, qubits))
+    out = np.dot(u, moved.reshape(len(u), -1))
+    moved[...] = out.reshape(moved.shape)
+
+
+@lru_cache(maxsize=None)
+def _swapped_slices(ndim: int, name: str, qubits: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The two index tuples whose slices a permutation gate exchanges."""
+    lo, hi = [slice(None)] * ndim, [slice(None)] * ndim
+    if name == "x":
+        lo[qubits[0] + 1], hi[qubits[0] + 1] = 0, 1
+    elif name == "cx":
+        control, target = qubits[0] + 1, qubits[1] + 1
+        lo[control] = hi[control] = 1
+        lo[target], hi[target] = 0, 1
+    else:  # swap
+        a, b = qubits[0] + 1, qubits[1] + 1
+        lo[a], lo[b] = 0, 1
+        hi[a], hi[b] = 1, 0
+    return tuple(lo), tuple(hi)
+
+
+def _permute(state: np.ndarray, name: str, qubits: tuple[int, ...]) -> None:
+    """Apply `x`, `cx` or `swap` to every row of a stacked state by moving amplitudes, in place."""
+    lo, hi = _swapped_slices(state.ndim, name, qubits)
+    kept = state[lo].copy()
+    state[lo] = state[hi]
+    state[hi] = kept
+
+
+def _step(state: np.ndarray, name: str, qubits: tuple[int, ...], u: np.ndarray) -> None:
+    """Apply one gate to every row of a stacked state, in place."""
+    if name in _PERMUTATIONS:
+        _permute(state, name, qubits)
+    else:
+        _apply(state, u, qubits)
 
 
 def _inject(state: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray, codes: np.ndarray) -> None:
     """Apply the Pauli error `codes[i]` on `qubits` to row `rows[i]`, in place."""
-    k = len(qubits)
-    axes = [q + 1 for q in qubits]
-    front = list(range(1, k + 1))
-    sub = np.moveaxis(state[rows], axes, front)
-    out = _PAULIS[k][codes] @ sub.reshape(len(rows), 2**k, -1)
-    state[rows] = np.moveaxis(out.reshape(sub.shape), front, axes)
+    moved = state.transpose(_rows_then_gate_axes(state.ndim, qubits))
+    sub = moved[rows]
+    paulis = _PAULIS[len(qubits)][codes]
+    out = paulis @ sub.reshape(len(rows), len(paulis[0]), -1)
+    moved[rows] = out.reshape(sub.shape)
 
 
 def _evolve(num_qubits: int, gates) -> np.ndarray:
     """One-row stacked state of a noiseless run from |0...0>."""
     state = np.zeros((1,) + (2,) * num_qubits, dtype=complex)
     state.flat[0] = 1.0
-    for lq, u in gates:
-        state = _apply(state, u, lq)
+    for name, lq, u in gates:
+        _step(state, name, lq, u)
     return state
 
 
 @dataclass(frozen=True)
+class SimulationStats:
+    """The work one noisy simulation did.
+
+    `trajectories` counts the statevector rows evolved: every error pattern
+    once, plus the error-free row that each batch evolves afresh.
+    `error_events` counts the (shot, gate) errors drawn.
+    """
+
+    trajectories: int
+    batches: int
+    error_events: int
+
+
+@dataclass(frozen=True)
 class Distribution:
-    """Measurement distribution; optionally backed by a finite shot count."""
+    """Measurement distribution; optionally backed by a finite shot count.
+
+    `stats` reports how a noisy simulation produced it. It takes no part in
+    equality, so a distribution equals another with the same outcomes.
+    """
 
     outcomes: dict[str, float]
     width: int
     shots: int | None = None
+    stats: SimulationStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
         total = 0.0
@@ -162,13 +241,15 @@ def fidelity(p: Distribution, q: Distribution) -> float:
     return min(1.0, max(0.0, 1.0 - tvd))
 
 
-def _distribution_from_probs(probs: np.ndarray, width: int, shots: int | None = None) -> Distribution:
+def _distribution_from_probs(
+    probs: np.ndarray, width: int, shots: int | None = None, stats: SimulationStats | None = None
+) -> Distribution:
     outcomes = {
         format(i, f"0{width}b"): float(p)
         for i, p in enumerate(probs)
         if p > _PROB_FLOOR
     }
-    return Distribution(outcomes, width=width, shots=shots)
+    return Distribution(outcomes, width=width, shots=shots, stats=stats)
 
 
 def simulate_ideal(circuit: Circuit) -> Distribution:
@@ -179,7 +260,7 @@ def simulate_ideal(circuit: Circuit) -> Distribution:
     state = _evolve(
         n,
         (
-            (g.qubits, gate_unitary(g.name, g.params))
+            (g.name, g.qubits, gate_unitary(g.name, g.params))
             for g in circuit.gates
             if g.name not in ("barrier", "measure")
         ),
@@ -211,10 +292,10 @@ def _local_frame(executable: Executable):
     return order, {p: i for i, p in enumerate(order)}
 
 
-def _local_gates(executable: Executable, loc: dict[int, int]) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """(local operands, unitary) of every routed gate that acts on the state."""
+def _local_gates(executable: Executable, loc: dict[int, int]) -> list[tuple[str, tuple[int, ...], np.ndarray]]:
+    """(name, local operands, unitary) of every routed gate that acts on the state."""
     return [
-        (tuple(loc[q] for q in g.qubits), gate_unitary(g.name, g.params))
+        (g.name, tuple(loc[q] for q in g.qubits), gate_unitary(g.name, g.params))
         for g in executable.routed_gates
         if g.name not in ("barrier", "measure")
     ]
@@ -283,36 +364,86 @@ def _error_sites(
     return sites
 
 
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a 1-D array that begin a run of equal values."""
+    heads = np.ones(len(values), dtype=bool)
+    heads[1:] = values[1:] != values[:-1]
+    return heads
+
+
+def _error_patterns(
+    hit_sites: list[int], shot_ids: list[np.ndarray], codes: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct per-shot error patterns, sorted, and how many shots take each.
+
+    `shot_ids[i]` and `codes[i]` are the shots that err at site `hit_sites[i]`
+    and their Pauli codes. Each row of the first array returned is one
+    pattern: its events, encoded as `site << 4 | code`, in site order and
+    padded with -1. Since codes are below 16, the rows sort as the patterns'
+    (site, code) tuples do, a pattern before any longer one it begins.
+    """
+    if not hit_sites:
+        return np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    shot = np.concatenate(shot_ids)
+    site = np.repeat(hit_sites, [len(ids) for ids in shot_ids])
+    event = site << 4 | np.concatenate(codes)
+    # Events by shot, then by site; a shot's events then form one pattern.
+    order = np.lexsort((site, shot))
+    shot, event = shot[order], event[order]
+    new_shot = _run_heads(shot)
+    starts = np.flatnonzero(new_shot)
+    which = np.cumsum(new_shot) - 1
+    position = np.arange(len(shot)) - starts[which]
+    padded = np.full((len(starts), position.max() + 1), -1, dtype=np.int64)
+    padded[which, position] = event
+    # Sort the patterns (first column most significant) and count repeats.
+    padded = padded[np.lexsort(padded.T[::-1])]
+    firsts = np.flatnonzero(np.concatenate(([True], (padded[1:] != padded[:-1]).any(axis=1))))
+    return padded[firsts], np.diff(firsts, append=len(padded))
+
+
 def _evolve_batch(
     t: int,
-    gates: list[tuple[tuple[int, ...], np.ndarray]],
+    gates: list[tuple[str, tuple[int, ...], np.ndarray]],
     sites: list[tuple[int, tuple[int, ...], float]],
-    patterns: list[tuple[tuple[int, int], ...]],
+    patterns: np.ndarray,
 ) -> np.ndarray:
     """Normalized outcome CDF of the error-free trajectory (row 0) and of each pattern.
 
-    `patterns` are sorted, so their first-error gates ascend and the rows in
-    use at any gate are a prefix of the stack.
+    `patterns` are sorted rows of `_error_patterns`, so their first-error
+    gates ascend and the rows in use at any gate are a prefix of the stack.
+    The stack is allocated once; a pattern's row joins as a copy of row 0
+    after the gate of its first error.
     """
-    first = [sites[pat[0][0]][0] for pat in patterns]
-    hits: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
-    for row, pat in enumerate(patterns, start=1):
-        for si, code in pat:
-            hits[si][0].append(row)
-            hits[si][1].append(code)
-    site_at = {gi: si for si, (gi, _, _) in enumerate(sites) if si in hits}
+    # After gate g, the rows of every pattern whose first error is at g are in use.
+    first_gate = [sites[si][0] for si in (patterns[:, 0] >> 4).tolist()]
+    joins = {gi: row for row, gi in enumerate(first_gate, start=2)}
 
-    state = _evolve(t, ())
-    for gi, (lq, u) in enumerate(gates):
-        state = _apply(state, u, lq)
-        active = 1 + bisect_right(first, gi)
-        if active > len(state):
-            state = np.concatenate([state, np.repeat(state[:1], active - len(state), axis=0)])
-        si = site_at.get(gi)
-        if si is not None:
-            rows, codes = hits[si]
-            _inject(state, sites[si][1], np.array(rows), np.array(codes))
-    probs = np.abs(state.reshape(len(state), -1)) ** 2
+    # Each site's events, rows ascending, for one gather-multiply-scatter each.
+    in_pattern = patterns >= 0
+    events = patterns[in_pattern]
+    order = np.argsort(events >> 4, kind="stable")
+    events, rows = events[order], np.nonzero(in_pattern)[0][order] + 1
+    site = events >> 4
+    starts = np.flatnonzero(_run_heads(site)).tolist()
+    injections = {}
+    for a, b in zip(starts, starts[1:] + [len(site)]):
+        gi, lq, _ = sites[site[a]]
+        injections[gi] = (lq, rows[a:b], events[a:b] & 15)
+
+    stack = np.zeros((1 + len(patterns),) + (2,) * t, dtype=complex)
+    stack.flat[0] = 1.0
+    state = stack[:1]
+    for gi, (name, lq, u) in enumerate(gates):
+        _step(state, name, lq, u)
+        active = joins.get(gi)
+        if active is not None:
+            stack[len(state) : active] = stack[0]
+            state = stack[:active]
+        hit = injections.get(gi)
+        if hit is not None:
+            _inject(state, *hit)
+    probs = np.abs(stack.reshape(len(stack), -1)) ** 2
     probs /= probs.sum(axis=1, keepdims=True)
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
@@ -325,8 +456,9 @@ def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph
     Per shot: each one-qubit gate may inject a uniform non-identity Pauli with
     its qubit's error rate, each CNOT with its link's (possibly crosstalk
     amplified) error rate, and readout flips each measured bit with that
-    qubit's readout error. Outcomes are reported in logical register order.
-    Deterministic for a fixed (executable, NoiseSpec, device).
+    qubit's readout error. Outcomes are reported in logical register order,
+    and `stats` on the result counts the trajectories, batches and error
+    events. Deterministic for a fixed (executable, NoiseSpec, device).
     """
     order, loc = _local_frame(executable)
     t = len(order)
@@ -340,18 +472,17 @@ def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph
 
     # Sample which shots take an error at which site, then group identical
     # patterns so each distinct trajectory is evolved once.
-    events_by_shot: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    hit_sites, shot_ids, codes = [], [], []
     for si, (_, lq, p) in enumerate(sites):
         hits = int(rng.binomial(shots, p))
         if hits == 0:
             continue
-        shot_ids = rng.choice(shots, size=hits, replace=False)
+        hit_sites.append(si)
+        shot_ids.append(rng.choice(shots, size=hits, replace=False))
         n_paulis = 3 if len(lq) == 1 else 15
-        codes = rng.integers(1, n_paulis + 1, size=hits)
-        for sh, code in zip(shot_ids, codes):
-            events_by_shot[int(sh)].append((si, int(code)))
-    patterns = sorted(Counter(tuple(sorted(evs)) for evs in events_by_shot.values()).items())
-    clean = shots - len(events_by_shot)
+        codes.append(rng.integers(1, n_paulis + 1, size=hits))
+    patterns, repeats = _error_patterns(hit_sites, shot_ids, codes)
+    clean = shots - int(repeats.sum())
 
     # Outcomes are drawn by inverse CDF, pattern by pattern in sorted order and
     # the error-free shots last: the same uniforms, in the same order, that
@@ -361,10 +492,10 @@ def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph
     drawn: list[np.ndarray] = []
     used = 0
     # With no error pattern, one empty batch still evolves the error-free row.
-    batches = [patterns[i : i + per_batch] for i in range(0, len(patterns), per_batch)] or [[]]
-    for batch in batches:
-        cdf = _evolve_batch(t, gates, sites, [pat for pat, _ in batch])
-        for row, (_, count) in enumerate(batch, start=1):
+    batch_starts = range(0, len(patterns), per_batch) or range(1)
+    for b in batch_starts:
+        cdf = _evolve_batch(t, gates, sites, patterns[b : b + per_batch])
+        for row, count in enumerate(repeats[b : b + per_batch].tolist(), start=1):
             drawn.append(cdf[row].searchsorted(uniforms[used : used + count], side="right"))
             used += count
     if clean:
@@ -382,7 +513,12 @@ def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph
         logical |= bit.astype(np.int64) << (k - 1 - q)
     counts = np.bincount(logical, minlength=2**k)
     probs = counts / shots
-    return _distribution_from_probs(probs, k, shots=shots)
+    stats = SimulationStats(
+        trajectories=len(patterns) + len(batch_starts),
+        batches=len(batch_starts),
+        error_events=sum(len(ids) for ids in shot_ids),
+    )
+    return _distribution_from_probs(probs, k, shots=shots, stats=stats)
 
 
 def estimate_qpu_time(executable: Executable, cycle_ns: float, shots: int = 1) -> float:
