@@ -114,6 +114,8 @@ def gate_unitary(name: str, params: tuple[float, ...]) -> np.ndarray:
     raise SimulationError(f"no unitary for gate {name!r}")
 
 
+# The axis and slice caches below stay small: states have at most 15 axes and
+# gates one or two operands.
 @lru_cache(maxsize=None)
 def _gate_axes_first(ndim: int, qubits: tuple[int, ...]) -> tuple[int, ...]:
     """Axis order of a stacked state that puts the axes of `qubits` first, the rest in order."""
