@@ -59,6 +59,11 @@ def _gates():
         Gate("cx", (1, 3)),
         Gate("x", (4,)),
         Gate("cx", (4, 0)),
+        # Generic rotations, so that most error patterns end in distributions
+        # of their own.
+        Gate("ry", (1,), (0.9,)),
+        Gate("rx", (3,), (1.3,)),
+        Gate("cx", (1, 3)),
     )
 
 
