@@ -133,7 +133,8 @@ def _apply(state: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) -> None:
     """Apply a one- or two-qubit unitary to every row of a (rows, 2, ..., 2) state, in place.
 
     This is the matrix product `np.tensordot` makes for the same contraction,
-    on the same operands, so the amplitudes are bit-identical to it.
+    on the same operand values, so the amplitudes equal tensordot's; the
+    ideal-distribution equivalence tests compare them with `==`.
     """
     moved = state.transpose(_gate_axes_first(state.ndim, qubits))
     out = np.dot(u, moved.reshape(len(u), -1))
