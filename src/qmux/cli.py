@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -12,7 +13,7 @@ from .circuits import parse_qasm
 from .compiler import Executable, compile_multi_version
 from .devices import DeviceGraph, load_calibration
 from .errors import QmuxError, TopologyMismatch
-from .harness import MODES, SWEEP_KINDS, cost_fidelity_correlation, run_sweep
+from .harness import MODES, SWEEP_KINDS, co_claims, cost_fidelity_correlation, run_sweep
 from .orchestrator import OBJECTIVES, STRATEGIES, select_brute_force, select_heuristic
 from .partition import enumerate_regions, generate_compute_units
 from .simulator import (
@@ -148,27 +149,23 @@ def _cmd_run(args) -> int:
         executables.extend(loaded if args.all_versions else loaded[:1])
     for exe in executables:
         _check_topology(exe, device)
-    # Each executable runs beside the others' programs; versions of one
-    # program (as with --all-versions) are alternatives, not co-runners.
-    claims: dict[str, set[int]] = {}
-    for exe in executables:
-        claims.setdefault(exe.program_name, set()).update(exe.region.qubits)
-    names = list(claims)
-    for i, first in enumerate(names):
-        for second in names[i + 1 :]:
-            shared = claims[first] & claims[second]
+    if args.all_versions:
+        # Versions of one program are alternatives: each runs alone.
+        co_claimed = [frozenset()] * len(executables)
+    else:
+        # Each path is one co-running slot, so a program may co-run with itself.
+        for first, second in itertools.combinations(executables, 2):
+            shared = first.region.qubits & second.region.qubits
             if shared:
                 raise QmuxError(
-                    f"{first} and {second} cannot co-run: their executables share "
-                    f"qubits {', '.join(map(str, sorted(shared)))}"
+                    f"{first.program_name} and {second.program_name} cannot co-run: their "
+                    f"executables share qubits {', '.join(map(str, sorted(shared)))}"
                 )
+        co_claimed = co_claims(executables)
     results = []
-    for idx, exe in enumerate(executables):
-        co_claimed = frozenset().union(
-            *(qubits for name, qubits in claims.items() if name != exe.program_name)
-        )
+    for idx, (exe, others) in enumerate(zip(executables, co_claimed)):
         spec = NoiseSpec(
-            shots=args.shots, seed=args.seed + idx, crosstalk=crosstalk, co_claimed=co_claimed
+            shots=args.shots, seed=args.seed + idx, crosstalk=crosstalk, co_claimed=others
         )
         observed = simulate_noisy(exe, spec, device)
         ideal = ideal_executable_distribution(exe)
@@ -214,9 +211,7 @@ def _cmd_bench(args) -> int:
             device, args.unit_size, suite, shots=args.shots, seed=args.seed
         )
         summary["correlation"] = {"mean_spearman": corr.mean, "per_program": corr.per_program}
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _emit(summary, json_path)
     print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
     return 0
 

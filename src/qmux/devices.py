@@ -199,9 +199,6 @@ class CrosstalkMap:
             mask |= partners.get(q, 0)
         return mask
 
-    def factor(self, a: int, b: int) -> float:
-        return self.amplification.get(_norm_link(a, b), 1.0)
-
 
 @dataclass(frozen=True)
 class VariationModel:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import random
 import time
 from collections.abc import Iterable, Sequence
@@ -32,7 +31,7 @@ import numpy as np
 from scipy import stats
 
 from .benchmarks import load_benchmark
-from .compiler import Process, compile_multi_version
+from .compiler import Executable, Process, compile_multi_version
 from .devices import CrosstalkMap, DeviceGraph, VariationModel, apply_variation
 from .errors import (
     CompileError,
@@ -212,11 +211,21 @@ def _derive_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence([seed, *path]).generate_state(1)[0])
 
 
+def co_claims(executables: Sequence[Executable]) -> list[frozenset[int]]:
+    """Each co-run slot's `co_claimed`: every slot's region qubits minus its own.
+
+    That is the union of the other slots' qubits because co-run regions are
+    disjoint: selected regions share no unit and units partition the qubits.
+    """
+    claimed = frozenset().union(*(exe.region.qubits for exe in executables))
+    return [claimed - exe.region.qubits for exe in executables]
+
+
 def _select_vanilla(processes: list[Process], seed: int) -> Selection:
     """Conflict-free but fidelity-blind: uniform choice among feasible versions."""
     start = time.perf_counter()
     rng = random.Random(seed)
-    chosen, indices = {}, {}
+    executables, ranks = [], []
     claimed = 0
     evaluations = 0
     for proc in processes:
@@ -229,10 +238,10 @@ def _select_vanilla(processes: list[Process], seed: int) -> Selection:
         if not feasible:
             raise OrchestrationConflict(proc.program_name)
         rank, exe = rng.choice(feasible)
-        chosen[proc.program_name] = exe
-        indices[proc.program_name] = rank
+        executables.append(exe)
+        ranks.append(rank)
         claimed |= exe.region.unit_mask
-    return Selection(chosen, indices, "vanilla", evaluations, time.perf_counter() - start)
+    return Selection(tuple(executables), tuple(ranks), "vanilla", evaluations, time.perf_counter() - start)
 
 
 class FidelityExperiment:
@@ -313,35 +322,26 @@ class FidelityExperiment:
             return GroupRecord(**meta, success=False, error=f"compile: {exc}")
 
         if self.mode == "oracle":
-            chosen = {p.program_name: p.executables[0] for p in processes}
-            indices = {p.program_name: 1 for p in processes}
-            selection = Selection(chosen, indices, "none", len(processes), 0.0)
-            co_claimed: dict[str, frozenset[int]] = {
-                name: frozenset() for name in chosen
-            }
+            rank_one = tuple(p.executables[0] for p in processes)
+            selection = Selection(rank_one, (1,) * len(processes), "none", len(processes), 0.0)
+            co_claimed = [frozenset()] * len(processes)
         else:
             try:
                 selection = self._select(processes, group_seed)
             except (OrchestrationConflict, OrchestrationTimeout) as exc:
                 return GroupRecord(**meta, success=False, error=f"selection: {exc}")
-            all_claims = {
-                name: frozenset(exe.region.qubits) for name, exe in selection.chosen.items()
-            }
-            co_claimed = {
-                name: frozenset().union(*(q for other, q in all_claims.items() if other != name))
-                for name in all_claims
-            }
+            co_claimed = co_claims(selection.executables)
 
         fidelities: dict[str, float] = {}
         regions: dict[str, tuple[int, ...]] = {}
+        slots = zip(group.members, selection.executables, co_claimed)
         try:
-            for idx, name in enumerate(group.members):
-                exe = selection.chosen[name]
+            for idx, (name, exe, others) in enumerate(slots):
                 spec = NoiseSpec(
                     shots=self.shots,
                     seed=_derive_seed(self.seed, group.group_id, idx),
                     crosstalk=self.crosstalk,
-                    co_claimed=co_claimed[name],
+                    co_claimed=others,
                 )
                 observed = simulate_noisy(exe, spec, self.sim_device)
                 fidelities[name] = fidelity(observed, self.ideal_for(name))
@@ -359,7 +359,7 @@ class FidelityExperiment:
             selection_elapsed_s=selection.elapsed_s,
         )
 
-    def run(self, groups: Iterable[BenchmarkGroup], workers: int | None = None) -> ExperimentReport:
+    def run(self, groups: Iterable[BenchmarkGroup], workers: int = 1) -> ExperimentReport:
         groups = list(groups)
         # Warm the compile cache serially; group workers then only simulate.
         for g in groups:
@@ -368,9 +368,8 @@ class FidelityExperiment:
                     self.process_for(name)
                 except CompileError:
                     pass
-        n_workers = workers if workers is not None else worker_count()
-        if n_workers > 1 and len(groups) > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        if workers > 1 and len(groups) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(self.run_group, groups))
         else:
             records = [self.run_group(g) for g in groups]
@@ -390,20 +389,11 @@ def run_fidelity_experiment(
     groups: Iterable[BenchmarkGroup],
     device: DeviceGraph,
     unit_size: int,
-    workers: int | None = None,
+    workers: int = 1,
     **options,
 ) -> ExperimentReport:
     """Run `groups` once; `options` are FidelityExperiment's keyword arguments."""
     return FidelityExperiment(device, unit_size, **options).run(groups, workers=workers)
-
-
-def worker_count() -> int:
-    """Group-level parallelism, from the QMUX_WORKERS environment variable."""
-    raw = os.environ.get("QMUX_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def sample_crosstalk_map(unit_graph: UnitGraph, seed: int = 0) -> CrosstalkMap:
@@ -580,7 +570,7 @@ def run_sweep(
     concurrencies: Sequence[int] = (2, 4, 6, 8, 10),
     sigmas: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
     crosstalk_seed: int = 7,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SweepReport:
     """Run one parameter sweep and collect per-(value, group) rows.
 

@@ -1,4 +1,4 @@
-"""Co-run selection: pick one executable per process so no two share units.
+"""Co-run selection: pick one executable per request slot so no two share units.
 
 Feasibility is unit-disjointness, plus an optional crosstalk veto: a
 candidate is skipped when a flagged link connects one of its qubits to a
@@ -36,10 +36,10 @@ OBJECTIVES = ("index_sum", "relative_rank")
 
 @dataclass(frozen=True)
 class Selection:
-    """One executable per process, with the search effort it took."""
+    """One executable and its rank per request slot, in request order, and the search effort."""
 
-    chosen: dict[str, Executable]
-    indices: dict[str, int]
+    executables: tuple[Executable, ...]
+    ranks: tuple[int, ...]
     strategy: str
     evaluations: int
     elapsed_s: float
@@ -47,22 +47,36 @@ class Selection:
 
     @property
     def index_sum(self) -> int:
-        return sum(self.indices.values())
+        return sum(self.ranks)
 
-    def executables(self) -> list[Executable]:
-        return list(self.chosen.values())
+    @property
+    def chosen(self) -> dict[str, Executable]:
+        """The executables by program name; raises if a program fills two slots."""
+        return self._by_name(self.executables)
+
+    @property
+    def indices(self) -> dict[str, int]:
+        """The ranks by program name; raises if a program fills two slots."""
+        return self._by_name(self.ranks)
+
+    def _by_name(self, values: tuple) -> dict:
+        view = {exe.program_name: v for exe, v in zip(self.executables, values)}
+        if len(view) < len(self.executables):
+            raise ValueError("a program fills more than one slot; read the per-slot fields")
+        return view
 
 
-def _ordered(processes: list[Process], strategy: str, seed: int) -> list[Process]:
+def _ordered(processes: list[Process], strategy: str, seed: int) -> list[tuple[int, Process]]:
+    """(slot, process) pairs in the order the strategy traverses them."""
+    order = list(enumerate(processes))
     if strategy == "random":
-        order = list(processes)
         random.Random(seed).shuffle(order)
         return order
     # Stable sorts keep submission order between equal qubit counts.
     if strategy == "small_first":
-        return sorted(processes, key=lambda p: p.num_qubits)
+        return sorted(order, key=lambda slot: slot[1].num_qubits)
     if strategy == "large_first":
-        return sorted(processes, key=lambda p: -p.num_qubits)
+        return sorted(order, key=lambda slot: -slot[1].num_qubits)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES[:3]}")
 
 
@@ -81,11 +95,11 @@ def select_heuristic(
     """
     start = time.perf_counter()
     order = _ordered(processes, strategy, seed)
-    chosen: dict[str, Executable] = {}
-    indices: dict[str, int] = {}
+    executables = [None] * len(processes)
+    ranks = [0] * len(processes)
     claimed = forbidden = 0
     evaluations = 0
-    for proc in order:
+    for slot, proc in order:
         for rank, (units, qubits) in enumerate(proc.claim_masks, start=1):
             if not (units & claimed or qubits & forbidden):
                 break
@@ -94,13 +108,13 @@ def select_heuristic(
         # Versions are examined in rank order up to the first feasible one.
         evaluations += rank
         exe = proc.executables[rank - 1]
-        chosen[proc.program_name] = exe
-        indices[proc.program_name] = rank
+        executables[slot] = exe
+        ranks[slot] = rank
         claimed |= units
         if crosstalk is not None:
             forbidden |= crosstalk.partners_of(exe.region.qubits)
     elapsed = time.perf_counter() - start
-    return Selection(chosen, indices, strategy, evaluations, elapsed)
+    return Selection(tuple(executables), tuple(ranks), strategy, evaluations, elapsed)
 
 
 def select_brute_force(
@@ -129,7 +143,7 @@ def select_brute_force(
     deadline = start + timeout_s
     n = len(processes)
     if n == 0:
-        return Selection({}, {}, "brute_force", 0, 0.0)
+        return Selection((), (), "brute_force", 0, 0.0)
 
     # A version's cost is rank / div: the rank itself for index_sum, rank / K_i
     # for relative_rank.
@@ -191,9 +205,8 @@ def select_brute_force(
         if timed_out:
             raise OrchestrationTimeout(f"no feasible assignment within {timeout_s} s")
         raise OrchestrationConflict()
-    chosen = {p.program_name: p.executables[r - 1] for p, r in zip(processes, best_vec)}
-    indices = {p.program_name: r for p, r in zip(processes, best_vec)}
-    return Selection(chosen, indices, "brute_force", evaluations, elapsed, timed_out=timed_out)
+    executables = tuple(p.executables[r - 1] for p, r in zip(processes, best_vec))
+    return Selection(executables, tuple(best_vec), "brute_force", evaluations, elapsed, timed_out=timed_out)
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,6 @@ class UnitGraph:
     edges: frozenset[tuple[int, int]]
     qubit_to_unit: tuple[int, ...]
 
-    def unit(self, unit_id: int) -> ComputeUnit:
-        return self.units[unit_id]
-
     def unit_adjacency(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {u.id: [] for u in self.units}
         for a, b in self.edges:

@@ -145,14 +145,14 @@ def selection_to_dict(selection: Selection) -> dict:
         "timed_out": selection.timed_out,
         "chosen": [
             {
-                "program_name": name,
-                "index": selection.indices[name],
+                "program_name": exe.program_name,
+                "index": rank,
                 "region_qubits": sorted(exe.region.qubits),
                 "unit_ids": sorted(exe.region.unit_ids),
                 "d_out": exe.d_out,
                 "swap_count": exe.swap_count,
             }
-            for name, exe in selection.chosen.items()
+            for exe, rank in zip(selection.executables, selection.ranks)
         ],
     }
 

@@ -75,7 +75,13 @@ def select_heuristic(processes, strategy="small_first", seed=0, crosstalk=None):
         units, qubits = _claims(exe)
         claimed_units |= units
         claimed_qubits |= qubits
-    return Selection(chosen, indices, strategy, evaluations, time.perf_counter() - start)
+    return Selection(
+        tuple(chosen[p.program_name] for p in processes),
+        tuple(indices[p.program_name] for p in processes),
+        strategy,
+        evaluations,
+        time.perf_counter() - start,
+    )
 
 
 def select_brute_force(processes, timeout_s=10.0, pure=False, crosstalk=None, objective="index_sum"):
@@ -85,7 +91,7 @@ def select_brute_force(processes, timeout_s=10.0, pure=False, crosstalk=None, ob
     deadline = start + timeout_s
     n = len(processes)
     if n == 0:
-        return Selection({}, {}, "brute_force", 0, 0.0)
+        return Selection((), (), "brute_force", 0, 0.0)
     if objective == "index_sum":
         div = [1] * n
         eps = 0.0
@@ -146,7 +152,14 @@ def select_brute_force(processes, timeout_s=10.0, pure=False, crosstalk=None, ob
         raise OrchestrationConflict()
     chosen = {p.program_name: p.executables[r - 1] for p, r in zip(processes, best_vec)}
     indices = {p.program_name: r for p, r in zip(processes, best_vec)}
-    return Selection(chosen, indices, "brute_force", evaluations, elapsed, timed_out=timed_out)
+    return Selection(
+        tuple(chosen[p.program_name] for p in processes),
+        tuple(indices[p.program_name] for p in processes),
+        "brute_force",
+        evaluations,
+        elapsed,
+        timed_out=timed_out,
+    )
 
 
 def select_vanilla(processes, seed):
@@ -171,4 +184,10 @@ def select_vanilla(processes, seed):
         units, qubits = _claims(exe)
         claimed_units |= units
         claimed_qubits |= qubits
-    return Selection(chosen, indices, "vanilla", evaluations, time.perf_counter() - start)
+    return Selection(
+        tuple(chosen[p.program_name] for p in processes),
+        tuple(indices[p.program_name] for p in processes),
+        "vanilla",
+        evaluations,
+        time.perf_counter() - start,
+    )

@@ -352,6 +352,16 @@ def test_sweep_rows_match_direct_experiments(kind, heavyhex27):
     assert sweep.kind == kind and sweep.device_name == heavyhex27.name
 
 
+def test_two_workers_record_what_one_does(heavyhex27):
+    groups = generate_groups(SWEEP_SUITE, 2, 8, seed=4)
+    xmap = sample_crosstalk_map(generate_compute_units(heavyhex27, 4), seed=7)
+    options = dict(shots=64, seed=4, crosstalk=xmap, crosstalk_filter=False)
+    serial = FidelityExperiment(heavyhex27, 4, **options).run(groups, workers=1)
+    pooled = FidelityExperiment(heavyhex27, 4, **options).run(groups, workers=2)
+    assert [_comparable(r) for r in pooled.records] == [_comparable(r) for r in serial.records]
+    assert all(r.success for r in serial.records)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_unknown_strategy_rejected_in_every_mode(mode, heavyhex27):
     with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
@@ -526,6 +536,71 @@ def test_cli_run_rejects_programs_sharing_qubits(tmp_path, capsys):
     # Versions of one program are alternatives and are not checked against each other.
     manifest = str(out_dir / "wstate_n3.process.json")
     assert main(["run", manifest, "--all-versions", "--device", "heavyhex27", "--shots", "64", "--out", str(out)]) == 0
+
+
+def test_cli_orchestrate_places_one_manifest_given_twice(tmp_path):
+    out_dir = tmp_path / "compiled"
+    assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
+    manifest = str(out_dir / "wstate_n3.process.json")
+    for strategy in ("small_first", "brute_force"):
+        out = tmp_path / f"selection-{strategy}.json"
+        assert main(["orchestrate", manifest, manifest, "--strategy", strategy, "--out", str(out)]) == 0
+        selection = json.loads(out.read_text())
+        chosen = selection["chosen"]
+        assert [c["program_name"] for c in chosen] == ["wstate_n3", "wstate_n3"]
+        assert [c["index"] for c in chosen] == [1, 2]
+        assert selection["index_sum"] == 3
+        assert not set(chosen[0]["unit_ids"]) & set(chosen[1]["unit_ids"])
+
+
+def test_cli_run_co_runs_one_program_with_itself(tmp_path, heavyhex27):
+    out_dir = tmp_path / "compiled"
+    assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
+    (first,) = out_dir.glob("wstate_n3.r1.*.exe.json")
+    region = load_executables(str(first))[0].region.qubits
+    # Another version of the same program next to the first, sharing no qubit with it.
+    for path in sorted(out_dir.glob("wstate_n3.r*.exe.json")):
+        other = load_executables(str(path))[0].region.qubits
+        between = [l for l in heavyhex27.links if len(set(l) & region) == 1 and len(set(l) & other) == 1]
+        if between and not region & other:
+            second = path
+            break
+    xpath = tmp_path / "xtalk.json"
+    save_crosstalk_map(str(xpath), CrosstalkMap({l: 5.0 for l in between}))
+
+    def fidelities(*argv):
+        out = tmp_path / "run.json"
+        assert main(["run", *argv, "--device", "heavyhex27", "--shots", "4096", "--out", str(out)]) == 0
+        return [r["fidelity_vs_ideal"] for r in json.loads(out.read_text())["results"]]
+
+    plain = fidelities(str(first), str(second))
+    amplified = fidelities(str(first), str(second), "--crosstalk", str(xpath))
+    assert len(amplified) == 2
+    assert all(a < p for a, p in zip(amplified, plain)), (amplified, plain)
+
+
+def test_cli_run_rejects_one_program_twice_on_shared_qubits(tmp_path, capsys):
+    # Compiled at two unit sizes, the same program has versions on overlapping regions.
+    argv = ["wstate_n3", "--device", "heavyhex27", "-o"]
+    assert main(["compile", *argv, str(tmp_path / "m4"), "-m", "4"]) == 0
+    assert main(["compile", *argv, str(tmp_path / "m2"), "-m", "2"]) == 0
+    pairs = [
+        (a, b, load_executables(str(a))[0].region.qubits & load_executables(str(b))[0].region.qubits)
+        for a in sorted((tmp_path / "m4").glob("*.exe.json"))
+        for b in sorted((tmp_path / "m2").glob("*.exe.json"))
+    ]
+    first, second, shared = next(p for p in pairs if p[2])
+    out = tmp_path / "run.json"
+    # One artifact given twice overlaps itself everywhere.
+    twice = load_executables(str(first))[0].region.qubits
+    for paths, overlap in (((first, second), shared), ((first, first), twice)):
+        capsys.readouterr()
+        argv = ["run", *map(str, paths), "--device", "heavyhex27", "--shots", "64", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"share qubits {', '.join(map(str, sorted(overlap)))}" in err
+        assert not out.exists()
 
 
 def _run_on_other_device(tmp_path, capsys, compiled_for, run_on):

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
+from qmux.benchmarks import load_benchmark
 from qmux.circuits import Gate
-from qmux.compiler import Executable, Process
+from qmux.compiler import Executable, Process, compile_multi_version
 from qmux.devices import CrosstalkMap
 from qmux.errors import CalibrationError, OrchestrationConflict, OrchestrationTimeout, PartitionError
 from qmux.orchestrator import (
@@ -134,7 +135,7 @@ def test_crosstalk_veto():
         assert clean.indices == {"p1": 1, "p2": 1}
         filtered = select([p1, p2], crosstalk=xmap)
         assert filtered.indices == {"p1": 1, "p2": 2}
-        chosen_qubits = [frozenset(e.region.qubits) for e in filtered.executables()]
+        chosen_qubits = [frozenset(e.region.qubits) for e in filtered.executables]
         for qa, qb in itertools.combinations(chosen_qubits, 2):
             assert not any(
                 (a in qa and b in qb) or (b in qa and a in qb) for a, b in xmap.flagged
@@ -177,7 +178,7 @@ def test_timeout_returns_incumbent():
 
 
 def test_cost_report_ratio():
-    sel = Selection({}, {}, "small_first", 0, 1e-3)
+    sel = Selection((), (), "small_first", 0, 1e-3)
     report = orchestration_cost_report(sel, 1.0)
     assert report.crf == pytest.approx(1000.0)
     assert report.reference_s == 1.0
@@ -185,7 +186,7 @@ def test_cost_report_ratio():
 
 
 def test_cost_report_clamps_zero_elapsed():
-    sel = Selection({}, {}, "small_first", 0, 0.0)
+    sel = Selection((), (), "small_first", 0, 0.0)
     report = orchestration_cost_report(sel, 1.0)
     assert math.isfinite(report.crf) and report.crf > 0
     with pytest.raises(ValueError):
@@ -231,7 +232,7 @@ def test_work_bounds_and_dominance():
         assert pruned.indices == pure.indices
         if greedy is not None:
             assert pure.index_sum <= greedy.index_sum
-        claimed = [frozenset(e.region.unit_ids) for e in pruned.executables()]
+        claimed = [frozenset(e.region.unit_ids) for e in pruned.executables]
         for ua, ub in itertools.combinations(claimed, 2):
             assert not (ua & ub)
     assert solvable >= 20
@@ -250,3 +251,19 @@ def test_first_traversed_process_gets_rank_one():
         first = min(procs, key=lambda p: p.num_qubits)
         assert sel.indices[first.program_name] == 1
     assert hits >= 15
+
+
+@pytest.mark.parametrize("select", [select_heuristic, select_brute_force], ids=["greedy", "exact"])
+def test_one_program_in_two_slots_is_placed_twice(select, ug27_m4):
+    # A service invoked twice at once: one process fills two request slots.
+    process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+    sel = select([process, process])
+    assert sel.ranks == (1, 2)
+    assert sel.index_sum == 3
+    assert sel.executables == process.executables[:2]
+    first, second = sel.executables
+    assert not first.region.unit_ids & second.region.unit_ids
+    # The name-keyed views cannot hold both slots, so they refuse.
+    for view in ("chosen", "indices"):
+        with pytest.raises(ValueError, match="more than one slot"):
+            getattr(sel, view)

@@ -1,9 +1,10 @@
 """The selectors return exactly what the frozen set-based reference returns.
 
-Every field of a Selection except its elapsed time is compared: the chosen
-executables (by identity, in insertion order), the ranks, the strategy, the
-number of evaluations and the timeout flag. A raised conflict or timeout
-must have the same type and message.
+Every field of a Selection except its elapsed time is compared: the
+executable (by program name and identity) and the rank of every request
+slot, in request order, the strategy, the number of evaluations and the
+timeout flag. A raised conflict or timeout must have the same type and
+message.
 """
 
 import random
@@ -35,8 +36,8 @@ def _outcome(select, *args, **kwargs):
     except (OrchestrationConflict, OrchestrationTimeout) as exc:
         return type(exc), str(exc)
     return (
-        [(name, id(exe)) for name, exe in sel.chosen.items()],
-        list(sel.indices.items()),
+        [(exe.program_name, id(exe)) for exe in sel.executables],
+        list(sel.ranks),
         sel.strategy,
         sel.evaluations,
         sel.timed_out,
@@ -184,4 +185,4 @@ def test_edge_cases_match_reference():
     inner = CrosstalkMap({(1100, 1101): 3.0, (1101, 1102): 3.0})
     for select, reference in ((select_heuristic, ref.select_heuristic), (select_brute_force, ref.select_brute_force)):
         out = _assert_same(select, reference, [p, q], crosstalk=inner)
-        assert out[1] == [("p", 1), ("q", 2)]
+        assert out[1] == [1, 2]
