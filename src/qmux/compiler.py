@@ -393,7 +393,24 @@ def _materialize(dag: _GateDag, ops) -> tuple[Gate, ...]:
     return tuple(out)
 
 
-def initial_layout(circuit: Circuit, region: Region, device: DeviceGraph) -> tuple[int, ...]:
+def _pass(program: _Program, forward: bool, layout: tuple[int, ...], ctx: _RegionContext, passes):
+    """The routing pass of `program` in one direction from `layout`, run at most once per `passes`.
+
+    A pass depends on nothing but its direction and starting layout once the
+    program and region are fixed, so `passes` stores each result under
+    (forward, layout) and hands it back when the same pass comes round again.
+    """
+    key = (forward, layout)
+    result = passes.get(key)
+    if result is None:
+        dag = program.forward if forward else program.backward
+        result = passes[key] = _route_gates(dag, layout, ctx)
+    return result
+
+
+def initial_layout(
+    circuit: Circuit, region: Region, device: DeviceGraph, *, passes: dict | None = None
+) -> tuple[int, ...]:
     """Pick starting homes for the logical qubits of `circuit` inside `region`.
 
     A greedy interaction-aware seed is refined by routing the circuit forward
@@ -403,33 +420,50 @@ def initial_layout(circuit: Circuit, region: Region, device: DeviceGraph) -> tup
     layout, so once a cycle returns the layout it started from, every later
     cycle would too and refinement stops. The refinement passes keep only
     that layout; no gates are built for them.
+
+    `passes` is the memo of routing passes for this circuit and region,
+    keyed by (forward, starting layout), so each distinct pass runs once;
+    `compile_on_region` shares it with `route`. Omitted, a fresh one is used.
     """
     if circuit.num_qubits > len(region.qubits):
         raise CompileError(
             f"{circuit.name!r} needs {circuit.num_qubits} qubits, region has {len(region.qubits)}"
         )
+    if passes is None:
+        passes = {}
     program = _program(circuit)
     ctx = _region_context(region, device)
     layout = _seed_layout(program, ctx)
     for _ in range(_REFINEMENT_PASSES):
         start = layout
-        layout = _route_gates(program.forward, layout, ctx)[1]
-        layout = _route_gates(program.backward, layout, ctx)[1]
+        layout = _pass(program, True, layout, ctx, passes)[1]
+        layout = _pass(program, False, layout, ctx, passes)[1]
         if layout == start:
             break
     return layout
 
 
 def route(
-    circuit: Circuit, region: Region, device: DeviceGraph, layout: tuple[int, ...]
+    circuit: Circuit,
+    region: Region,
+    device: DeviceGraph,
+    layout: tuple[int, ...],
+    *,
+    passes: dict | None = None,
 ) -> RoutedCircuit:
-    """Route `circuit` from `layout`, inserting region-local SWAPs as 3 CNOTs."""
+    """Route `circuit` from `layout`, inserting region-local SWAPs as 3 CNOTs.
+
+    `passes` is the memo of routing passes that `initial_layout` takes; a
+    forward pass from `layout` found there is not run again.
+    """
+    if passes is None:
+        passes = {}
     program = _program(circuit)
     ctx = _region_context(region, device)
     for l, p in enumerate(layout):
         if p not in region.qubits:
             raise CompileError(f"layout places logical {l} on {p}, outside the region")
-    ops, final_layout, swaps = _route_gates(program.forward, layout, ctx)
+    ops, final_layout, swaps = _pass(program, True, tuple(layout), ctx, passes)
     return RoutedCircuit(_materialize(program.forward, ops), final_layout, swaps)
 
 
@@ -438,12 +472,19 @@ def region_utility(region: Region, device: DeviceGraph) -> float:
 
 
 def compile_on_region(circuit: Circuit, region: Region, device: DeviceGraph) -> Executable:
-    """Compile one program onto one region and price the result."""
+    """Compile one program onto one region and price the result.
+
+    Layout refinement and the final route share one memo of routing passes,
+    which lives only for this call: each distinct (direction, starting
+    layout) pass runs once, and the final route reuses the forward pass of
+    the cycle that converged.
+    """
     if not circuit.gates:
         raise CompileError(f"{circuit.name!r} has no gates to compile")
     d_in = _program(circuit).d_in
-    layout = initial_layout(circuit, region, device)
-    routed = route(circuit, region, device, layout)
+    passes: dict = {}
+    layout = initial_layout(circuit, region, device, passes=passes)
+    routed = route(circuit, region, device, layout, passes=passes)
     return Executable(
         program_name=circuit.name,
         num_qubits=circuit.num_qubits,

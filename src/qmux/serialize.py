@@ -36,6 +36,20 @@ def _write_compact(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+def _read_object(path: str) -> dict:
+    """The JSON object stored at `path`; any other content, or no file, raises QmuxError."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise QmuxError(f"{path}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise QmuxError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise QmuxError(f"{path}: not a JSON object")
+    return payload
+
+
 def executable_to_dict(exe: Executable) -> dict:
     return {
         "program_name": exe.program_name,
@@ -103,12 +117,18 @@ def save_processes(path: str, processes: list[Process]) -> None:
     _write_compact(path, payload)
 
 
+def _process_records(path: str, payload: dict) -> list:
+    records = payload.get("processes")
+    if not isinstance(records, list):
+        raise QmuxError(f"{path}: \"processes\" is not a list")
+    return records
+
+
 def load_processes(path: str) -> list[Process]:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_object(path)
     if payload.get("format") != _FORMAT:
         raise QmuxError(f"{path}: not a {_FORMAT} file")
-    return [process_from_dict(p) for p in payload["processes"]]
+    return [process_from_dict(p) for p in _process_records(path, payload)]
 
 
 def save_executable(path: str, exe: Executable) -> None:
@@ -123,16 +143,12 @@ def load_executables(path: str) -> list[Executable]:
     A single-executable artifact yields one entry; a process manifest yields
     that process's full cost-ascending list.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_object(path)
     kind = payload.get("format")
     if kind == _EXE_FORMAT:
         return [executable_from_dict(payload)]
     if kind == _FORMAT:
-        out = []
-        for p in payload["processes"]:
-            out.extend(executable_from_dict(e) for e in p["executables"])
-        return out
+        return [e for p in _process_records(path, payload) for e in process_from_dict(p).executables]
     raise QmuxError(f"{path}: not a {_EXE_FORMAT} or {_FORMAT} file")
 
 
@@ -159,8 +175,7 @@ def selection_to_dict(selection: Selection) -> dict:
 
 def load_crosstalk_map(path: str) -> CrosstalkMap:
     """Read {"flagged": [[a, b, factor], ...]} into a CrosstalkMap."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_object(path)
     try:
         amplification = {(int(a), int(b)): float(f) for a, b, f in payload["flagged"]}
     except (KeyError, TypeError, ValueError) as exc:

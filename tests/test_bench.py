@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from qmux.benchmarks import load_benchmark, load_device
 from qmux.cli import main
 from qmux.compiler import compile_multi_version
 from qmux.devices import CrosstalkMap, VariationModel, apply_variation
+from qmux.errors import QmuxError
 from qmux.harness import (
     MODES,
     SWEEP_KINDS,
@@ -388,6 +390,64 @@ def test_serialization_roundtrips(ug27_m4, tmp_path):
     assert payload["index_sum"] == 1
     assert payload["chosen"][0]["program_name"] == "adder_n4"
     json.dumps(payload)
+
+
+# (file content or None for no file, the start of the error message after the path)
+BAD_FILES = [
+    (None, "cannot read"),
+    ("{", "not valid JSON"),
+    (b"\xff\xfe{}", "not valid JSON"),
+    ("[1, 2]", "not a JSON object"),
+]
+BAD_MANIFESTS = [
+    ('{"format": "qmux-processes-v1"}', '"processes" is not a list'),
+    ('{"format": "qmux-processes-v1", "processes": 3}', '"processes" is not a list'),
+    ('{"format": "qmux-processes-v1", "processes": [[1]]}', "malformed process record"),
+]
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    return str(path)
+
+
+@pytest.mark.parametrize("content, message", BAD_FILES)
+@pytest.mark.parametrize("loader", [load_processes, load_executables, load_crosstalk_map])
+def test_loaders_reject_unreadable_files(tmp_path, loader, content, message):
+    path = _write(tmp_path / "bad.json", content)
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {message}"):
+        loader(path)
+
+
+@pytest.mark.parametrize("content, message", BAD_FILES + BAD_MANIFESTS)
+@pytest.mark.parametrize("command", ["orchestrate", "run"])
+def test_cli_bad_manifest_fails_cleanly(tmp_path, capsys, command, content, message):
+    path = _write(tmp_path / "bad.json", content)
+    out = tmp_path / "out.json"
+    argv = [command, path, "--out", str(out)]
+    if command == "run":
+        argv += ["--device", "heavyhex27", "--shots", "64"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+    assert not out.exists()
+
+
+def test_cli_bad_crosstalk_map_fails_cleanly(tmp_path, capsys):
+    out_dir = tmp_path / "compiled"
+    assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
+    manifest = str(out_dir / "wstate_n3.process.json")
+    capsys.readouterr()
+    for i, (content, message) in enumerate(BAD_FILES):
+        xtalk = _write(tmp_path / f"xtalk{i}.json", content)
+        out = tmp_path / "selection.json"
+        assert main(["orchestrate", manifest, "--crosstalk", xtalk, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {xtalk}: {message}")
+        assert not out.exists()
 
 
 def test_cli_partition_and_compile(tmp_path):

@@ -362,19 +362,51 @@ def test_converged_seed_layout_stops_after_one_cycle(monkeypatch):
     passes = _count_calls(monkeypatch, "_route_gates")
     exe = compile_on_region(circuit, region, dev)
     assert exe.swap_count == 0 and exe.final_layout == exe.layout
-    # One forward+backward cycle that returns its input, then the final route.
-    assert len(passes) == 3
+    # One forward+backward cycle that returns its input; the final route is
+    # that cycle's forward pass, so it is not run again.
+    assert len(passes) == 2
 
 
 def test_moving_layout_refines_all_three_cycles(monkeypatch):
-    # On this circuit every cycle moves the layout, so none is skipped.
+    # On this circuit the first two cycles move the layout, so the third runs.
     dev = make_path(5)
     region = _whole_device_region(dev)
     pairs = ((3, 2), (4, 2), (1, 3), (0, 2), (3, 2), (3, 4))
     circuit = Circuit("moving", 5, tuple(Gate("cx", p) for p in pairs))
+    program = compiler._program(circuit)
+    ctx = compiler._region_context(region, dev)
+    layout = compiler._seed_layout(program, ctx)
+    for _ in range(3):
+        layout = compiler._route_gates(program.forward, layout, ctx)[1]
+        layout = compiler._route_gates(program.backward, layout, ctx)[1]
     passes = _count_calls(monkeypatch, "_route_gates")
-    compile_on_region(circuit, region, dev)
-    assert len(passes) == 7
+    assert compile_on_region(circuit, region, dev).layout == layout
+    # The third cycle's backward pass starts where the second's did, and the
+    # final route is the third's forward pass: 7 passes, 5 of them distinct.
+    assert len(passes) == 5
+
+
+def test_no_routing_pass_repeats_within_a_compile(monkeypatch, heavyhex27):
+    passes = _count_calls(monkeypatch, "_route_gates")
+    compile_one = compiler.compile_on_region
+    repeats = []
+
+    def compile_checked(*args):
+        start = len(passes)
+        exe = compile_one(*args)
+        # Within one compile the program and region are fixed, so a pass is
+        # its DAG (the direction) and its starting layout.
+        run = [(id(dag), layout) for dag, layout, _ in passes[start:]]
+        repeats.append(len(run) - len(set(run)))
+        return exe
+
+    monkeypatch.setattr(compiler, "compile_on_region", compile_checked)
+    for m in (3, 4):
+        ug = generate_compute_units(heavyhex27, m)
+        for name in suite():
+            compile_multi_version(load_benchmark(name), ug)
+    assert passes and repeats
+    assert sum(repeats) == 0
 
 
 def test_cache_entries_die_with_their_device_and_circuit():
