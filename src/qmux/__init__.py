@@ -61,9 +61,7 @@ from .harness import (
     success_ratio,
 )
 from .orchestrator import (
-    CostReport,
     Selection,
-    orchestration_cost_report,
     select_brute_force,
     select_heuristic,
 )
@@ -73,13 +71,11 @@ from .partition import (
     UnitGraph,
     enumerate_regions,
     generate_compute_units,
-    region_qubit_count,
 )
 from .simulator import (
     Distribution,
     NoiseSpec,
     SimulationStats,
-    estimate_qpu_time,
     fidelity,
     ideal_executable_distribution,
     simulate_ideal,
@@ -95,7 +91,6 @@ __all__ = [
     "CircuitError",
     "CompileError",
     "ComputeUnit",
-    "CostReport",
     "CrosstalkMap",
     "DeviceGraph",
     "Distribution",
@@ -126,7 +121,6 @@ __all__ = [
     "crosstalk_violations",
     "device_names",
     "enumerate_regions",
-    "estimate_qpu_time",
     "fidelity",
     "fit_lognormal",
     "gate_list_depth",
@@ -138,10 +132,8 @@ __all__ = [
     "load_calibration",
     "load_device",
     "nested_prefix_groups",
-    "orchestration_cost_report",
     "parse_qasm",
     "qubit_utility",
-    "region_qubit_count",
     "route",
     "run_fidelity_experiment",
     "run_sweep",

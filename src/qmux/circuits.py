@@ -110,10 +110,6 @@ def gate_list_depth(gates) -> int:
     return depth
 
 
-def circuit_depth(circuit: Circuit) -> int:
-    return gate_list_depth(circuit.gates)
-
-
 def decompose_swaps(circuit: Circuit) -> Circuit:
     """Expand every swap into its 3-CNOT equivalent; other gates pass through."""
     out: list[Gate] = []

@@ -43,7 +43,8 @@ def _load_program(spec: str):
 
 
 def _check_topology(exe: Executable, device: DeviceGraph) -> None:
-    """Refuse an executable whose qubits or routed links `device` does not have."""
+    """Refuse an executable whose qubits or routed links `device` does not have,
+    or whose routed gates leave its region."""
     outside = sorted(q for q in exe.region.qubits if q >= device.num_qubits)
     if outside:
         raise TopologyMismatch(
@@ -51,6 +52,11 @@ def _check_topology(exe: Executable, device: DeviceGraph) -> None:
             f"{device.name}, which has {device.num_qubits} qubits"
         )
     for g in exe.routed_gates:
+        if not exe.region.qubits.issuperset(g.qubits):
+            raise QmuxError(
+                f"{exe.program_name}: routed {g.name} on qubits {', '.join(map(str, g.qubits))} "
+                "leaves its region"
+            )
         if g.is_two_qubit and not device.has_link(*g.qubits):
             a, b = g.qubits
             raise TopologyMismatch(

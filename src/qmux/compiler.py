@@ -48,10 +48,6 @@ class Executable:
     def depth_ratio(self) -> float:
         return self.d_out / self.d_in
 
-    @property
-    def cost(self) -> tuple[float, float]:
-        return (self.depth_ratio, self.region_utility)
-
 
 def cost_sort_key(executable: Executable) -> tuple[float, float]:
     """Ascending depth ratio; equal ratios prefer the higher-utility region."""

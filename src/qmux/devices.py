@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, QmuxError
 
 _EDGE_CAP = 0.999  # varied link errors stay inside (0, 1)
 
@@ -53,13 +53,15 @@ class DeviceGraph:
             if err is None:
                 raise CalibrationError(f"link {key} has no error rate")
             if not (0.0 < err < 1.0):
-                raise CalibrationError(f"link {key} error {err} outside (0, 1)")
+                raise CalibrationError(f"probability out of range on link {key}: {err}")
         if len(self.qubit_error) != n or len(self.readout_error) != n:
             raise CalibrationError("per-qubit error arrays must have one entry per qubit")
         for label, rates in (("qubit", self.qubit_error), ("readout", self.readout_error)):
             for q, p in enumerate(rates):
                 if not (0.0 <= p < 1.0):
-                    raise CalibrationError(f"{label} error {p} on qubit {q} outside [0, 1)")
+                    raise CalibrationError(
+                        f"probability out of range in {label} error of qubit {q}: {p}"
+                    )
         if n > 1:
             if not self._connected():
                 raise CalibrationError("device topology is disconnected")
@@ -93,49 +95,51 @@ class DeviceGraph:
         return _norm_link(a, b) in self.link_error
 
 
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object stored at `path`; any other content, or no file, raises QmuxError."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise QmuxError(f"{path}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise QmuxError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise QmuxError(f"{path}: not a JSON object")
+    return payload
+
+
 def load_calibration(path: str | Path) -> DeviceGraph:
     """Load a calibration JSON file into a validated DeviceGraph.
 
     Expected schema: num_qubits, links as [a, b, error] triples, qubit_errors,
-    readout_errors.
+    readout_errors. This reads and converts the fields; DeviceGraph checks
+    ranges, duplicate links and connectivity.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CalibrationError(f"{path.name}: not valid JSON ({exc})") from exc
+    raw = read_json_object(path)
     for field_name in ("num_qubits", "links", "qubit_errors", "readout_errors"):
         if field_name not in raw:
-            raise CalibrationError(f"{path.name}: missing field {field_name!r}")
-    links: list[tuple[int, int]] = []
-    link_error: dict[tuple[int, int], float] = {}
-    for entry in raw["links"]:
-        if len(entry) != 3:
-            raise CalibrationError(f"{path.name}: link entry {entry!r} is not [a, b, error]")
-        a, b, err = int(entry[0]), int(entry[1]), float(entry[2])
-        if not (0.0 < err < 1.0):
-            raise CalibrationError(
-                f"{path.name}: probability out of range on link ({a}, {b}): {err}"
-            )
-        key = _norm_link(a, b)
-        if key in link_error:
-            raise CalibrationError(f"{path.name}: duplicate link {key}")
-        links.append(key)
-        link_error[key] = err
-    for label in ("qubit_errors", "readout_errors"):
-        for q, p in enumerate(raw[label]):
-            if not (0.0 <= float(p) < 1.0):
-                raise CalibrationError(
-                    f"{path.name}: probability out of range in {label}[{q}]: {p}"
-                )
-    return DeviceGraph(
-        num_qubits=int(raw["num_qubits"]),
-        links=tuple(sorted(links)),
-        link_error=link_error,
-        qubit_error=tuple(float(p) for p in raw["qubit_errors"]),
-        readout_error=tuple(float(p) for p in raw["readout_errors"]),
-        name=raw.get("name", path.stem),
-    )
+            raise CalibrationError(f"{path}: missing field {field_name!r}")
+    try:
+        links: list[tuple[int, int]] = []
+        link_error: dict[tuple[int, int], float] = {}
+        for entry in raw["links"]:
+            if len(entry) != 3:
+                raise CalibrationError(f"{path}: link entry {entry!r} is not [a, b, error]")
+            key = _norm_link(int(entry[0]), int(entry[1]))
+            links.append(key)  # a repeat stays in `links`, where DeviceGraph refuses it
+            link_error[key] = float(entry[2])
+        return DeviceGraph(
+            num_qubits=int(raw["num_qubits"]),
+            links=tuple(sorted(links)),
+            link_error=link_error,
+            qubit_error=tuple(float(p) for p in raw["qubit_errors"]),
+            readout_error=tuple(float(p) for p in raw["readout_errors"]),
+            name=raw.get("name", path.stem),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CalibrationError(f"{path}: malformed calibration ({exc})") from exc
 
 
 def save_calibration(device: DeviceGraph, path: str | Path) -> None:

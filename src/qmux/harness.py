@@ -19,7 +19,6 @@ Execution modes:
 from __future__ import annotations
 
 import csv
-import json
 import math
 import random
 import time
@@ -548,11 +547,6 @@ class SweepReport:
                         r.error or "",
                     ]
                 )
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-            fh.write("\n")
 
 
 def run_sweep(

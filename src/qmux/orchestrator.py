@@ -207,31 +207,3 @@ def select_brute_force(
         raise OrchestrationConflict()
     executables = tuple(p.executables[r - 1] for p, r in zip(processes, best_vec))
     return Selection(executables, tuple(best_vec), "brute_force", evaluations, elapsed, timed_out=timed_out)
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """How much cheaper runtime selection was than a compile-time reference."""
-
-    crf: float
-    reference_s: float
-    elapsed_s: float
-    evaluations: int
-
-
-def orchestration_cost_report(selection: Selection, compile_time_reference_s: float) -> CostReport:
-    """Cost-reduction factor: reference compile time over selection time.
-
-    A zero elapsed time is clamped to the timer resolution so the ratio
-    stays finite.
-    """
-    if compile_time_reference_s <= 0:
-        raise ValueError("compile-time reference must be positive")
-    floor = max(time.get_clock_info("perf_counter").resolution, 1e-9)
-    elapsed = max(selection.elapsed_s, floor)
-    return CostReport(
-        crf=compile_time_reference_s / elapsed,
-        reference_s=compile_time_reference_s,
-        elapsed_s=selection.elapsed_s,
-        evaluations=selection.evaluations,
-    )

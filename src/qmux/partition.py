@@ -290,7 +290,3 @@ def enumerate_regions(unit_graph: UnitGraph, r: int) -> tuple[Region, ...]:
             qubits |= unit_graph.units[uid].qubits
         regions.append(Region(frozenset(grp), frozenset(qubits)))
     return tuple(regions)
-
-
-def region_qubit_count(unit_graph: UnitGraph, region: Region) -> int:
-    return len(region.qubits)

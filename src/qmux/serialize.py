@@ -10,7 +10,7 @@ import json
 
 from .circuits import Gate
 from .compiler import Executable, Process
-from .devices import CrosstalkMap
+from .devices import CrosstalkMap, read_json_object
 from .errors import QmuxError
 from .orchestrator import Selection
 from .partition import Region
@@ -36,20 +36,6 @@ def _write_compact(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _read_object(path: str) -> dict:
-    """The JSON object stored at `path`; any other content, or no file, raises QmuxError."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise QmuxError(f"{path}: cannot read ({exc.strerror})") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-        raise QmuxError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise QmuxError(f"{path}: not a JSON object")
-    return payload
-
-
 def executable_to_dict(exe: Executable) -> dict:
     return {
         "program_name": exe.program_name,
@@ -69,12 +55,13 @@ def executable_to_dict(exe: Executable) -> dict:
 
 
 def executable_from_dict(data: dict) -> Executable:
+    """Rebuild an executable, refusing layouts that disagree with its size or region."""
     try:
         region = Region(
             unit_ids=frozenset(data["region"]["unit_ids"]),
             qubits=frozenset(data["region"]["qubits"]),
         )
-        return Executable(
+        exe = Executable(
             program_name=data["program_name"],
             num_qubits=data["num_qubits"],
             region=region,
@@ -86,6 +73,18 @@ def executable_from_dict(data: dict) -> Executable:
             d_out=data["d_out"],
             region_utility=data["region_utility"],
         )
+        if not len(exe.layout) == len(exe.final_layout) == exe.num_qubits:
+            raise QmuxError(
+                f"malformed executable record: {exe.program_name} has {exe.num_qubits} qubits "
+                f"but layouts of {len(exe.layout)} and {len(exe.final_layout)}"
+            )
+        outside = set(exe.layout + exe.final_layout) - region.qubits
+        if outside:
+            raise QmuxError(
+                f"malformed executable record: {exe.program_name} lays out qubits "
+                f"{', '.join(map(str, sorted(outside)))} outside its region"
+            )
+        return exe
     except (KeyError, TypeError, ValueError) as exc:
         raise QmuxError(f"malformed executable record: {exc}") from exc
 
@@ -125,7 +124,7 @@ def _process_records(path: str, payload: dict) -> list:
 
 
 def load_processes(path: str) -> list[Process]:
-    payload = _read_object(path)
+    payload = read_json_object(path)
     if payload.get("format") != _FORMAT:
         raise QmuxError(f"{path}: not a {_FORMAT} file")
     return [process_from_dict(p) for p in _process_records(path, payload)]
@@ -143,7 +142,7 @@ def load_executables(path: str) -> list[Executable]:
     A single-executable artifact yields one entry; a process manifest yields
     that process's full cost-ascending list.
     """
-    payload = _read_object(path)
+    payload = read_json_object(path)
     kind = payload.get("format")
     if kind == _EXE_FORMAT:
         return [executable_from_dict(payload)]
@@ -175,7 +174,7 @@ def selection_to_dict(selection: Selection) -> dict:
 
 def load_crosstalk_map(path: str) -> CrosstalkMap:
     """Read {"flagged": [[a, b, factor], ...]} into a CrosstalkMap."""
-    payload = _read_object(path)
+    payload = read_json_object(path)
     try:
         amplification = {(int(a), int(b)): float(f) for a, b, f in payload["flagged"]}
     except (KeyError, TypeError, ValueError) as exc:

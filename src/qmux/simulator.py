@@ -522,10 +522,3 @@ def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph
         error_events=sum(len(ids) for ids in shot_ids),
     )
     return _distribution_from_probs(probs, k, shots=shots, stats=stats)
-
-
-def estimate_qpu_time(executable: Executable, cycle_ns: float, shots: int = 1) -> float:
-    """Wall-time estimate in nanoseconds: output depth x cycle time x shots."""
-    if cycle_ns <= 0 or shots < 1:
-        raise SimulationError("cycle time must be positive and shots at least 1")
-    return executable.d_out * cycle_ns * shots

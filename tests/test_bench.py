@@ -7,10 +7,10 @@ import re
 
 import pytest
 
-from qmux.benchmarks import load_benchmark, load_device
+from qmux.benchmarks import device_path, load_benchmark, load_device
 from qmux.cli import main
 from qmux.compiler import compile_multi_version
-from qmux.devices import CrosstalkMap, VariationModel, apply_variation
+from qmux.devices import CrosstalkMap, VariationModel, apply_variation, load_calibration
 from qmux.errors import QmuxError
 from qmux.harness import (
     MODES,
@@ -283,9 +283,7 @@ def test_crosstalk_sweep_filter_audit(heavyhex27, small_suite, tmp_path):
     assert rows[0] == CSV_SCHEMA
     assert len(rows) == 1 + len(report.rows)
 
-    json_path = tmp_path / "sweep.json"
-    report.write_json(str(json_path))
-    summary = json.loads(json_path.read_text())
+    summary = report.summary()
     assert summary["kind"] == "crosstalk"
     assert [entry["param"] for entry in summary["per_param"]] == [0.0, 1.0]
     for entry in summary["per_param"]:
@@ -448,6 +446,63 @@ def test_cli_bad_crosstalk_map_fails_cleanly(tmp_path, capsys):
         assert main(["orchestrate", manifest, "--crosstalk", xtalk, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {xtalk}: {message}")
         assert not out.exists()
+
+
+# A directory, raw bytes, or heavyhex27's calibration with these fields replaced.
+BAD_CALIBRATIONS = {
+    "directory": (None, "cannot read"),
+    "non-utf8": (b"\xff\xfe{}", "not valid JSON"),
+    "link-id": ({"links": [["a", 1, 0.01]]}, "malformed calibration"),
+    "links-not-list": ({"links": 5}, "malformed calibration"),
+    "num-qubits": ({"num_qubits": "x"}, "malformed calibration"),
+    "qubit-errors-null": ({"qubit_errors": None}, "malformed calibration"),
+}
+
+
+@pytest.mark.parametrize("content, message", BAD_CALIBRATIONS.values(), ids=BAD_CALIBRATIONS)
+def test_bad_calibration_fails_cleanly(tmp_path, capsys, content, message):
+    path = tmp_path / "dev.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(json.loads(device_path("heavyhex27").read_text()) | content))
+    with pytest.raises(QmuxError, match=f"^{re.escape(str(path))}: {message}"):
+        load_calibration(path)
+    out = tmp_path / "units.json"
+    assert main(["partition", "--device", str(path), "-m", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["num_qubits", "layout", "gate"])
+def test_cli_run_refuses_artifact_outside_its_region(tmp_path, capsys, heavyhex27, case):
+    out_dir = tmp_path / "compiled"
+    assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
+    (artifact,) = out_dir.glob("wstate_n3.r1.*.exe.json")
+    record = json.loads(artifact.read_text())
+    region = set(record["region"]["qubits"])
+    if case == "num_qubits":
+        record["num_qubits"] += 1
+        message = f"has {record['num_qubits']} qubits but layouts of 3 and 3"
+    elif case == "layout":
+        record["layout"] = [99, 98, 97]
+        message = "lays out qubits 97, 98, 99 outside its region"
+    else:
+        # A device link from the region to a qubit outside it passes the link check.
+        a, b = next((a, b) for a, b in heavyhex27.links if (a in region) != (b in region))
+        record["routed_gates"].append(["cx", [a, b], []])
+        message = f"routed cx on qubits {a}, {b} leaves its region"
+    artifact.write_text(json.dumps(record))
+    capsys.readouterr()
+    out = tmp_path / "run.json"
+    assert main(["run", str(artifact), "--device", "heavyhex27", "--shots", "64", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+    assert not out.exists()
 
 
 def test_cli_partition_and_compile(tmp_path):

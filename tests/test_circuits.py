@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmux.benchmarks import benchmark_path, load_benchmark
-from qmux.circuits import Circuit, Gate, circuit_depth, decompose_swaps, parse_qasm, to_qasm
+from qmux.circuits import Circuit, Gate, decompose_swaps, gate_list_depth, parse_qasm, to_qasm
 from qmux.errors import CircuitError, QasmError
 
 from oracles import layered_depth
@@ -58,22 +58,22 @@ def test_measure_only_at_end():
 
 def test_depth_disjoint_gates_one_layer():
     c = Circuit("a", 4, (Gate("cx", (0, 1)), Gate("cx", (2, 3))))
-    assert circuit_depth(c) == 1
+    assert gate_list_depth(c.gates) == 1
 
 
 def test_depth_shared_operand_two_layers():
     c = Circuit("b", 3, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))
-    assert circuit_depth(c) == 2
+    assert gate_list_depth(c.gates) == 2
 
 
 def test_depth_four_cnot_example():
     # (0,1),(2,3) in layer 1; (1,2),(0,3) each depend on both -> layer 2.
     # A trailing measure layer on all qubits brings the full program to 3.
     gates = tuple(Gate("cx", p) for p in ((0, 1), (2, 3), (1, 2), (0, 3)))
-    assert circuit_depth(Circuit("toy", 4, gates)) == 2
+    assert gate_list_depth(gates) == 2
     assert layered_depth(gates) == 2
     with_measures = gates + tuple(Gate("measure", (q,)) for q in range(4))
-    assert circuit_depth(Circuit("toy", 4, with_measures, num_clbits=4)) == 3
+    assert gate_list_depth(with_measures) == 3
 
 
 def test_barrier_synchronizes():
@@ -82,7 +82,7 @@ def test_barrier_synchronizes():
         2,
         (Gate("h", (0,)), Gate("barrier", (0, 1)), Gate("h", (1,))),
     )
-    assert circuit_depth(c) == 3
+    assert gate_list_depth(c.gates) == 3
 
 
 def test_swap_decomposition():
@@ -123,11 +123,11 @@ _gate = st.one_of(
 @given(st.lists(_gate, min_size=1, max_size=30))
 def test_depth_properties(gates):
     c = Circuit("p", 5, tuple(gates))
-    d = circuit_depth(c)
+    d = gate_list_depth(c.gates)
     assert 1 <= d <= len(gates)
     assert d == layered_depth(gates)
     longer = Circuit("p2", 5, tuple(gates) + (Gate("h", (0,)),))
-    assert circuit_depth(longer) >= d
+    assert gate_list_depth(longer.gates) >= d
 
 
 @settings(deadline=None)

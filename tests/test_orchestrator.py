@@ -12,12 +12,7 @@ from qmux.circuits import Gate
 from qmux.compiler import Executable, Process, compile_multi_version
 from qmux.devices import CrosstalkMap
 from qmux.errors import CalibrationError, OrchestrationConflict, OrchestrationTimeout, PartitionError
-from qmux.orchestrator import (
-    Selection,
-    orchestration_cost_report,
-    select_brute_force,
-    select_heuristic,
-)
+from qmux.orchestrator import select_brute_force, select_heuristic
 from qmux.partition import Region
 
 
@@ -175,22 +170,6 @@ def test_timeout_returns_incumbent():
     sel = select_brute_force(procs, timeout_s=0.005, pure=True)
     assert sel.timed_out
     assert sel.index_sum == 12
-
-
-def test_cost_report_ratio():
-    sel = Selection((), (), "small_first", 0, 1e-3)
-    report = orchestration_cost_report(sel, 1.0)
-    assert report.crf == pytest.approx(1000.0)
-    assert report.reference_s == 1.0
-    assert report.elapsed_s == 1e-3
-
-
-def test_cost_report_clamps_zero_elapsed():
-    sel = Selection((), (), "small_first", 0, 0.0)
-    report = orchestration_cost_report(sel, 1.0)
-    assert math.isfinite(report.crf) and report.crf > 0
-    with pytest.raises(ValueError):
-        orchestration_cost_report(sel, 0.0)
 
 
 def _random_instance(rng):

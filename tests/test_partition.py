@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmux.errors import PartitionError
-from qmux.partition import (
-    enumerate_regions,
-    generate_compute_units,
-    region_qubit_count,
-)
+from qmux.partition import enumerate_regions, generate_compute_units
 
 from conftest import make_grid, make_path
 from oracles import check_unit_graph, random_connected_device
@@ -117,9 +113,9 @@ def test_path_of_5_units_r2():
 
 def test_region_qubit_counts(ug27_m4):
     r1 = enumerate_regions(ug27_m4, 1)
-    assert region_qubit_count(ug27_m4, r1[0]) == 4
+    assert len(r1[0].qubits) == 4
     r2 = enumerate_regions(ug27_m4, 2)
-    counts = sorted(region_qubit_count(ug27_m4, region) for region in r2)
+    counts = sorted(len(region.qubits) for region in r2)
     # one pair absorbs the 3-qubit residual unit
     assert counts == [7, 8, 8]
 

@@ -1,4 +1,4 @@
-"""Ideal and noisy simulation, the 1-TVD fidelity metric, and QPU timing."""
+"""Ideal and noisy simulation, the 1-TVD fidelity metric, and output depth."""
 
 import math
 
@@ -15,7 +15,6 @@ from qmux.partition import enumerate_regions, generate_compute_units
 from qmux.simulator import (
     Distribution,
     NoiseSpec,
-    estimate_qpu_time,
     fidelity,
     ideal_executable_distribution,
     simulate_ideal,
@@ -162,11 +161,8 @@ def test_qpu_time_arithmetic():
     dev = make_path(3)
     circuit = Circuit("chain", 3, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))
     exe = compile_on_region(circuit, _sole_region(dev), dev)
-    base = estimate_qpu_time(exe, cycle_ns=100.0)
-    assert base == exe.d_out * 100.0
-    assert estimate_qpu_time(exe, cycle_ns=100.0, shots=2) == 2 * base
-    with pytest.raises(SimulationError):
-        estimate_qpu_time(exe, cycle_ns=0.0)
+    assert exe.d_out == 2
+    assert exe.swap_count == 0
 
 
 def test_qpu_time_ten_layers():
@@ -175,7 +171,6 @@ def test_qpu_time_ten_layers():
     circuit = Circuit("stack", 2, tuple(Gate("cx", (0, 1)) for _ in range(10)))
     exe = compile_on_region(circuit, _sole_region(dev), dev)
     assert exe.d_out == 10
-    assert estimate_qpu_time(exe, cycle_ns=100.0, shots=1) == pytest.approx(1000.0)
 
 
 def test_qpu_time_device_size_invariant():
@@ -186,7 +181,7 @@ def test_qpu_time_device_size_invariant():
     ug = generate_compute_units(big, 4)
     exe_big = compile_on_region(circuit, enumerate_regions(ug, 1)[0], big)
     assert exe_small.swap_count == exe_big.swap_count == 0
-    assert estimate_qpu_time(exe_small, 100.0, 64) == estimate_qpu_time(exe_big, 100.0, 64)
+    assert exe_small.d_out == exe_big.d_out
 
 
 def test_noisy_distribution_normalized():
