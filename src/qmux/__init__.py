@@ -28,7 +28,6 @@ from .devices import (
     DeviceGraph,
     VariationModel,
     apply_variation,
-    fit_lognormal,
     load_calibration,
     qubit_utility,
     save_calibration,
@@ -55,7 +54,6 @@ from .harness import (
     crosstalk_violations,
     generate_groups,
     nested_prefix_groups,
-    run_fidelity_experiment,
     run_sweep,
     sample_crosstalk_map,
     success_ratio,
@@ -122,7 +120,6 @@ __all__ = [
     "device_names",
     "enumerate_regions",
     "fidelity",
-    "fit_lognormal",
     "gate_list_depth",
     "generate_compute_units",
     "generate_groups",
@@ -135,7 +132,6 @@ __all__ = [
     "parse_qasm",
     "qubit_utility",
     "route",
-    "run_fidelity_experiment",
     "run_sweep",
     "sample_crosstalk_map",
     "save_calibration",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CircuitError, QasmError
 

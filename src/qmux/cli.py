@@ -14,7 +14,7 @@ from .compiler import Executable, compile_multi_version
 from .devices import DeviceGraph, load_calibration
 from .errors import QmuxError, TopologyMismatch
 from .harness import MODES, SWEEP_KINDS, co_claims, cost_fidelity_correlation, run_sweep
-from .orchestrator import OBJECTIVES, STRATEGIES, select_brute_force, select_heuristic
+from .orchestrator import STRATEGIES, select_brute_force, select_heuristic
 from .partition import enumerate_regions, generate_compute_units
 from .simulator import (
     NoiseSpec,
@@ -127,13 +127,7 @@ def _cmd_orchestrate(args) -> int:
         processes.extend(serialize.load_processes(path))
     crosstalk = serialize.load_crosstalk_map(args.crosstalk) if args.crosstalk else None
     if args.strategy == "brute_force":
-        selection = select_brute_force(
-            processes,
-            timeout_s=args.timeout,
-            pure=args.pure,
-            crosstalk=crosstalk,
-            objective=args.objective,
-        )
+        selection = select_brute_force(processes, timeout_s=args.timeout, crosstalk=crosstalk)
     else:
         selection = select_heuristic(
             processes, args.strategy, seed=args.seed, crosstalk=crosstalk
@@ -250,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=10.0)
     p.add_argument("--crosstalk", default=None, help="crosstalk map JSON file")
-    p.add_argument("--pure", action="store_true", help="brute force without pruning")
-    p.add_argument("--objective", choices=OBJECTIVES, default="index_sum")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_orchestrate)
 

@@ -8,14 +8,13 @@ with reliable links: degree divided by the summed error of incident links.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, QmuxError
+from .errors import CalibrationError, QmuxError, located
 
 _EDGE_CAP = 0.999  # varied link errors stay inside (0, 1)
 
@@ -109,37 +108,48 @@ def read_json_object(path: str | Path) -> dict:
     return payload
 
 
+def _json_int(value, what: str) -> int:
+    # JSON true and false load as bool, a subclass of int.
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_calibration(path: str | Path) -> DeviceGraph:
     """Load a calibration JSON file into a validated DeviceGraph.
 
-    Expected schema: num_qubits, links as [a, b, error] triples, qubit_errors,
-    readout_errors. This reads and converts the fields; DeviceGraph checks
-    ranges, duplicate links and connectivity.
+    Expected schema: num_qubits and link endpoints as JSON integers, links as
+    [a, b, error] triples, qubit_errors, readout_errors. This reads and
+    converts the fields; DeviceGraph checks ranges, duplicate links and
+    connectivity. Every error after the read names the file.
     """
     path = Path(path)
     raw = read_json_object(path)
-    for field_name in ("num_qubits", "links", "qubit_errors", "readout_errors"):
-        if field_name not in raw:
-            raise CalibrationError(f"{path}: missing field {field_name!r}")
-    try:
-        links: list[tuple[int, int]] = []
-        link_error: dict[tuple[int, int], float] = {}
-        for entry in raw["links"]:
-            if len(entry) != 3:
-                raise CalibrationError(f"{path}: link entry {entry!r} is not [a, b, error]")
-            key = _norm_link(int(entry[0]), int(entry[1]))
-            links.append(key)  # a repeat stays in `links`, where DeviceGraph refuses it
-            link_error[key] = float(entry[2])
-        return DeviceGraph(
-            num_qubits=int(raw["num_qubits"]),
-            links=tuple(sorted(links)),
-            link_error=link_error,
-            qubit_error=tuple(float(p) for p in raw["qubit_errors"]),
-            readout_error=tuple(float(p) for p in raw["readout_errors"]),
-            name=raw.get("name", path.stem),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CalibrationError(f"{path}: malformed calibration ({exc})") from exc
+    with located(path):
+        for field_name in ("num_qubits", "links", "qubit_errors", "readout_errors"):
+            if field_name not in raw:
+                raise CalibrationError(f"missing field {field_name!r}")
+        try:
+            links: list[tuple[int, int]] = []
+            link_error: dict[tuple[int, int], float] = {}
+            for entry in raw["links"]:
+                if len(entry) != 3:
+                    raise CalibrationError(f"link entry {entry!r} is not [a, b, error]")
+                a, b, err = entry
+                what = f"endpoint of link {entry!r}"
+                key = _norm_link(_json_int(a, what), _json_int(b, what))
+                links.append(key)  # a repeat stays in `links`, where DeviceGraph refuses it
+                link_error[key] = float(err)
+            return DeviceGraph(
+                num_qubits=_json_int(raw["num_qubits"], "num_qubits"),
+                links=tuple(sorted(links)),
+                link_error=link_error,
+                qubit_error=tuple(float(p) for p in raw["qubit_errors"]),
+                readout_error=tuple(float(p) for p in raw["readout_errors"]),
+                name=raw.get("name", path.stem),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CalibrationError(f"malformed calibration ({exc})") from exc
 
 
 def save_calibration(device: DeviceGraph, path: str | Path) -> None:
@@ -239,23 +249,3 @@ def apply_variation(device: DeviceGraph, model: VariationModel) -> DeviceGraph:
         name=device.name,
     )
 
-
-def fit_lognormal(samples, seed: int = 0) -> VariationModel:
-    """Maximum-likelihood log-normal fit of positive scale factors.
-
-    mu is the mean of the logs and sigma their population standard deviation.
-    A degenerate sample (all values equal) gets a machine-epsilon sigma floor
-    and a warning rather than an invalid model.
-    """
-    values = np.asarray(list(samples), dtype=float)
-    if values.size < 2:
-        raise CalibrationError("need at least two samples to fit a variation model")
-    if np.any(values <= 0):
-        raise CalibrationError("scale factors must be positive")
-    logs = np.log(values)
-    mu = float(np.mean(logs))
-    sigma = float(np.std(logs))
-    if sigma == 0.0:
-        warnings.warn("degenerate variation sample; sigma floored at machine epsilon")
-        sigma = float(np.finfo(float).eps)
-    return VariationModel(mu=mu, sigma=sigma, seed=seed)

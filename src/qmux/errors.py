@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class QmuxError(Exception):
     """Base class for all errors raised by this package."""
@@ -55,3 +57,13 @@ class OrchestrationTimeout(QmuxError):
 
 class SimulationError(QmuxError):
     """Simulation request outside supported bounds."""
+
+
+@contextmanager
+def located(path):
+    """Prefix "<path>: " to a QmuxError raised in the block, keeping its type."""
+    try:
+        yield
+    except QmuxError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -384,17 +384,6 @@ class FidelityExperiment:
         )
 
 
-def run_fidelity_experiment(
-    groups: Iterable[BenchmarkGroup],
-    device: DeviceGraph,
-    unit_size: int,
-    workers: int = 1,
-    **options,
-) -> ExperimentReport:
-    """Run `groups` once; `options` are FidelityExperiment's keyword arguments."""
-    return FidelityExperiment(device, unit_size, **options).run(groups, workers=workers)
-
-
 def sample_crosstalk_map(unit_graph: UnitGraph, seed: int = 0) -> CrosstalkMap:
     """Flag each cross-unit link with probability 0.5, amplification in [2, 5].
 
@@ -602,6 +591,6 @@ def run_sweep(
     base = dict(unit_size=unit_size, mode=mode, strategy=strategy, shots=shots, seed=seed)
     rows: list[SweepRow] = []
     for param, groups, overrides in points:
-        report = run_fidelity_experiment(groups, device, workers=workers, **(base | overrides))
+        report = FidelityExperiment(device, **(base | overrides)).run(groups, workers=workers)
         rows.extend(SweepRow(float(param), r) for r in report.records)
     return SweepReport(kind=kind, device_name=device.name, rows=tuple(rows))

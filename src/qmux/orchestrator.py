@@ -31,7 +31,6 @@ from .errors import OrchestrationConflict, OrchestrationTimeout
 _DEFAULT_TIMEOUT_S = 10.0
 
 STRATEGIES = ("random", "small_first", "large_first", "brute_force")
-OBJECTIVES = ("index_sum", "relative_rank")
 
 
 @dataclass(frozen=True)
@@ -120,53 +119,31 @@ def select_heuristic(
 def select_brute_force(
     processes: list[Process],
     timeout_s: float = _DEFAULT_TIMEOUT_S,
-    pure: bool = False,
     crosstalk: CrosstalkMap | None = None,
-    objective: str = "index_sum",
 ) -> Selection:
-    """Exhaustive search for the minimum-cost conflict-free assignment.
+    """Exact search for the conflict-free assignment with the least rank sum.
 
-    Depth-first over index vectors in lexicographic order. Only strictly
+    Depth-first over rank vectors in lexicographic order. Only strictly
     better totals replace the incumbent, so the result is the
-    lexicographically smallest optimum. A partial-sum bound prunes branches
-    that cannot win; pure=True disables pruning and walks the whole product
-    space, useful as an oracle. On timeout the incumbent is returned with
-    timed_out set if one exists, otherwise OrchestrationTimeout is raised.
-
-    objective "index_sum" minimizes the sum of 1-based ranks; "relative_rank"
-    minimizes the sum of rank/K_i, favoring positions near each process's
-    own front rather than absolute ones.
+    lexicographically smallest optimum. A branch is cut once its partial sum
+    plus rank 1 for every remaining slot cannot beat the incumbent. On
+    timeout the incumbent is returned with timed_out set if one exists,
+    otherwise OrchestrationTimeout is raised.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     start = time.perf_counter()
     deadline = start + timeout_s
     n = len(processes)
     if n == 0:
         return Selection((), (), "brute_force", 0, 0.0)
 
-    # A version's cost is rank / div: the rank itself for index_sum, rank / K_i
-    # for relative_rank.
-    if objective == "index_sum":
-        div = [1] * n
-        eps = 0.0
-    else:
-        div = [len(p.executables) for p in processes]
-        eps = 1e-12
-    # Cheapest possible completion from each depth: every remaining process
-    # contributes its rank-1 cost.
-    suffix_min = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + 1 / div[i]
-
     best_vec: list[int] | None = None
-    best_cost = 0.0
+    best_cost = 0
     evaluations = 0
     timed_out = False
 
     stack_rank: list[int] = []
 
-    def dfs(depth: int, partial: float, claimed: int, forbidden: int) -> bool:
+    def dfs(depth: int, partial: int, claimed: int, forbidden: int) -> bool:
         """Returns True when the search should unwind due to timeout."""
         nonlocal best_vec, best_cost, evaluations, timed_out
         if time.perf_counter() > deadline:
@@ -181,10 +158,10 @@ def select_brute_force(
                 best_cost = partial
             return False
         proc = processes[depth]
-        d, rest = div[depth], suffix_min[depth + 1]
+        # The cheapest completion gives every later slot its rank 1.
+        rest = n - depth - 1
         for rank, (units, qubits) in enumerate(proc.claim_masks, start=1):
-            step = rank / d
-            if not pure and best_vec is not None and partial + step + rest >= best_cost + eps:
+            if best_vec is not None and partial + rank + rest >= best_cost:
                 break
             if units & claimed or qubits & forbidden:
                 continue
@@ -192,13 +169,13 @@ def select_brute_force(
             if crosstalk is not None:
                 veto |= crosstalk.partners_of(proc.executables[rank - 1].region.qubits)
             stack_rank.append(rank)
-            stop = dfs(depth + 1, partial + step, claimed | units, veto)
+            stop = dfs(depth + 1, partial + rank, claimed | units, veto)
             stack_rank.pop()
             if stop:
                 return True
         return False
 
-    dfs(0, 0.0, 0, 0)
+    dfs(0, 0, 0, 0)
     elapsed = time.perf_counter() - start
 
     if best_vec is None:

@@ -9,7 +9,6 @@ the same partition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 

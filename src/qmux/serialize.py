@@ -11,7 +11,7 @@ import json
 from .circuits import Gate
 from .compiler import Executable, Process
 from .devices import CrosstalkMap, read_json_object
-from .errors import QmuxError
+from .errors import QmuxError, located
 from .orchestrator import Selection
 from .partition import Region
 
@@ -127,7 +127,9 @@ def load_processes(path: str) -> list[Process]:
     payload = read_json_object(path)
     if payload.get("format") != _FORMAT:
         raise QmuxError(f"{path}: not a {_FORMAT} file")
-    return [process_from_dict(p) for p in _process_records(path, payload)]
+    records = _process_records(path, payload)
+    with located(path):
+        return [process_from_dict(p) for p in records]
 
 
 def save_executable(path: str, exe: Executable) -> None:
@@ -145,9 +147,12 @@ def load_executables(path: str) -> list[Executable]:
     payload = read_json_object(path)
     kind = payload.get("format")
     if kind == _EXE_FORMAT:
-        return [executable_from_dict(payload)]
+        with located(path):
+            return [executable_from_dict(payload)]
     if kind == _FORMAT:
-        return [e for p in _process_records(path, payload) for e in process_from_dict(p).executables]
+        records = _process_records(path, payload)
+        with located(path):
+            return [e for p in records for e in process_from_dict(p).executables]
     raise QmuxError(f"{path}: not a {_EXE_FORMAT} or {_FORMAT} file")
 
 
@@ -175,11 +180,12 @@ def selection_to_dict(selection: Selection) -> dict:
 def load_crosstalk_map(path: str) -> CrosstalkMap:
     """Read {"flagged": [[a, b, factor], ...]} into a CrosstalkMap."""
     payload = read_json_object(path)
-    try:
-        amplification = {(int(a), int(b)): float(f) for a, b, f in payload["flagged"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise QmuxError(f"{path}: malformed crosstalk map: {exc}") from exc
-    return CrosstalkMap(amplification)
+    with located(path):
+        try:
+            amplification = {(int(a), int(b)): float(f) for a, b, f in payload["flagged"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise QmuxError(f"malformed crosstalk map: {exc}") from exc
+        return CrosstalkMap(amplification)
 
 
 def save_crosstalk_map(path: str, crosstalk: CrosstalkMap) -> None:

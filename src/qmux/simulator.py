@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit
 from .compiler import Executable
 from .devices import CrosstalkMap, DeviceGraph
 from .errors import SimulationError

@@ -18,7 +18,9 @@ import random
 import time
 
 from qmux.errors import OrchestrationConflict, OrchestrationTimeout
-from qmux.orchestrator import OBJECTIVES, STRATEGIES, Selection
+from qmux.orchestrator import STRATEGIES, Selection
+
+OBJECTIVES = ("index_sum", "relative_rank")
 
 
 def _claims(executable):

@@ -11,16 +11,16 @@ import time
 
 import pytest
 
-from qmux.benchmarks import load_benchmark, load_device
+from qmux.benchmarks import load_benchmark
 from qmux.circuits import Circuit, Gate
 from qmux.compiler import Executable, Process, compile_multi_version, compile_on_region
 from qmux.errors import OrchestrationConflict
 from qmux.harness import (
+    FidelityExperiment,
     cost_fidelity_correlation,
     crosstalk_violations,
     generate_groups,
     nested_prefix_groups,
-    run_fidelity_experiment,
     run_sweep,
     sample_crosstalk_map,
     success_ratio,
@@ -36,6 +36,7 @@ from qmux.simulator import (
     simulate_noisy,
 )
 
+import reference_orchestrator as ref
 from conftest import make_path
 from oracles import (
     check_unit_graph,
@@ -164,7 +165,7 @@ def test_criterion_05_orchestration_exactness():
         else:
             assert greedy.evaluations <= sum_k
         try:
-            pure = select_brute_force(procs, pure=True)
+            pure = ref.select_brute_force(procs, pure=True)
         except OrchestrationConflict:
             assert greedy is None
             continue
@@ -185,8 +186,8 @@ def test_criterion_05_orchestration_exactness():
 def test_criterion_06_fidelity_gain_and_ranking(heavyhex27, small_suite):
     start = time.perf_counter()
     groups = generate_groups(small_suite, 2, 10, seed=11)
-    flamenco = run_fidelity_experiment(groups, heavyhex27, 4, mode="flamenco", shots=2**14, seed=3)
-    vanilla = run_fidelity_experiment(groups, heavyhex27, 4, mode="vanilla", shots=2**14, seed=3)
+    flamenco = FidelityExperiment(heavyhex27, 4, mode="flamenco", shots=2**14, seed=3).run(groups)
+    vanilla = FidelityExperiment(heavyhex27, 4, mode="vanilla", shots=2**14, seed=3).run(groups)
     assert flamenco.mean_fidelity >= vanilla.mean_fidelity
     corr = cost_fidelity_correlation(heavyhex27, 4, small_suite, shots=2**14, seed=7)
     assert corr.mean > 0.0
@@ -206,9 +207,7 @@ def test_criterion_07_scaling_shape(heavyhex27, small_suite):
     for strategy in ("random", "small_first", "large_first", "brute_force"):
         ratios[strategy] = [
             success_ratio(
-                run_fidelity_experiment(
-                    nested[m], heavyhex27, 4, strategy=strategy, shots=256, seed=2
-                )
+                FidelityExperiment(heavyhex27, 4, strategy=strategy, shots=256, seed=2).run(nested[m])
             )
             for m in sizes
         ]

@@ -22,7 +22,6 @@ from qmux.harness import (
     crosstalk_violations,
     generate_groups,
     nested_prefix_groups,
-    run_fidelity_experiment,
     run_sweep,
     sample_crosstalk_map,
     success_ratio,
@@ -67,9 +66,7 @@ def trio(heavyhex27, small_suite):
     """One M=3 workload evaluated under all three execution modes."""
     groups = generate_groups(small_suite, 3, 10, seed=9)
     reports = {
-        mode: run_fidelity_experiment(
-            groups, heavyhex27, 4, mode=mode, shots=2**12, seed=1
-        )
+        mode: FidelityExperiment(heavyhex27, 4, mode=mode, shots=2**12, seed=1).run(groups)
         for mode in ("flamenco", "vanilla", "oracle")
     }
     return groups, reports
@@ -174,9 +171,7 @@ def test_oracle_mode_bypasses_orchestration(trio):
 
 def test_experiment_deterministic(trio, heavyhex27, small_suite):
     groups, reports = trio
-    again = run_fidelity_experiment(
-        groups, heavyhex27, 4, mode="vanilla", shots=2**12, seed=1
-    )
+    again = FidelityExperiment(heavyhex27, 4, mode="vanilla", shots=2**12, seed=1).run(groups)
     for r1, r2 in zip(reports["vanilla"].records, again.records):
         assert r1.success == r2.success
         assert r1.fidelities == r2.fidelities
@@ -186,9 +181,9 @@ def test_experiment_deterministic(trio, heavyhex27, small_suite):
 
 def test_greedy_success_implies_exhaustive_success(trio, heavyhex27):
     groups, reports = trio
-    brute = run_fidelity_experiment(
-        groups, heavyhex27, 4, mode="flamenco", strategy="brute_force", shots=2**12, seed=1
-    )
+    brute = FidelityExperiment(
+        heavyhex27, 4, mode="flamenco", strategy="brute_force", shots=2**12, seed=1
+    ).run(groups)
     for greedy_rec, brute_rec in zip(reports["flamenco"].records, brute.records):
         if greedy_rec.success:
             assert brute_rec.success
@@ -250,7 +245,7 @@ def test_variation_sigma_zero_matches_unswept(heavyhex27, small_suite):
         sigmas=(0.0,),
     )
     groups = generate_groups(small_suite, 2, 3, seed=13)
-    direct = run_fidelity_experiment(groups, heavyhex27, 4, shots=256, seed=13)
+    direct = FidelityExperiment(heavyhex27, 4, shots=256, seed=13).run(groups)
     swept = sweep.records_at(0.0)
     assert len(swept) == len(direct.records) == 3
     for a, b in zip(swept, direct.records):
@@ -420,6 +415,27 @@ def test_loaders_reject_unreadable_files(tmp_path, loader, content, message):
         loader(path)
 
 
+@pytest.mark.parametrize("loader", [load_processes, load_executables, load_crosstalk_map])
+def test_loaders_name_the_file_in_record_errors(tmp_path, ug27_m4, loader):
+    # Each file parses, but a record in it is refused after the read.
+    if loader is load_crosstalk_map:
+        payload, message = {"flagged": [[0, 1, 0.5]]}, "crosstalk factor 0.5 on (0, 1) below 1"
+    else:
+        process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+        record = executable_to_dict(process.executables[0])
+        record["num_qubits"] += 1
+        message = "malformed executable record: wstate_n3 has 4 qubits"
+        if loader is load_processes:
+            payload = process_to_dict(process)
+            payload["executables"][0] = record
+            payload = {"format": "qmux-processes-v1", "processes": [payload]}
+        else:
+            payload = record | {"format": "qmux-executable-v1"}
+    path = _write(tmp_path / "bad.json", json.dumps(payload))
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}"):
+        loader(path)
+
+
 @pytest.mark.parametrize("content, message", BAD_FILES + BAD_MANIFESTS)
 @pytest.mark.parametrize("command", ["orchestrate", "run"])
 def test_cli_bad_manifest_fails_cleanly(tmp_path, capsys, command, content, message):
@@ -456,6 +472,10 @@ BAD_CALIBRATIONS = {
     "links-not-list": ({"links": 5}, "malformed calibration"),
     "num-qubits": ({"num_qubits": "x"}, "malformed calibration"),
     "qubit-errors-null": ({"qubit_errors": None}, "malformed calibration"),
+    "num-qubits-fraction": ({"num_qubits": 27.9}, "malformed calibration (num_qubits must be an integer, got 27.9)"),
+    "num-qubits-bool": ({"num_qubits": True}, "malformed calibration (num_qubits must be an integer, got True)"),
+    "link-id-fraction": ({"links": [[0.5, 1, 0.01]]}, "malformed calibration (endpoint of link [0.5, 1, 0.01]"),
+    "link-error-range": ({"links": [[0, 1, 1.5]]}, "probability out of range on link"),
 }
 
 
@@ -468,7 +488,7 @@ def test_bad_calibration_fails_cleanly(tmp_path, capsys, content, message):
         path.write_bytes(content)
     else:
         path.write_text(json.dumps(json.loads(device_path("heavyhex27").read_text()) | content))
-    with pytest.raises(QmuxError, match=f"^{re.escape(str(path))}: {message}"):
+    with pytest.raises(QmuxError, match=f"^{re.escape(f'{path}: {message}')}"):
         load_calibration(path)
     out = tmp_path / "units.json"
     assert main(["partition", "--device", str(path), "-m", "4", "--out", str(out)]) == 1

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qmux import compiler
 from qmux.benchmarks import load_benchmark, load_device, suite
-from qmux.circuits import Circuit, Gate, decompose_swaps, gate_list_depth
+from qmux.circuits import Circuit, Gate, decompose_swaps
 from qmux.compiler import (
     compile_multi_version,
     compile_on_region,
@@ -25,7 +25,7 @@ from qmux.compiler import (
 )
 from qmux.devices import DeviceGraph
 from qmux.errors import CompileError
-from qmux.partition import Region, enumerate_regions, generate_compute_units
+from qmux.partition import enumerate_regions, generate_compute_units
 from qmux.simulator import fidelity, ideal_executable_distribution, simulate_ideal
 
 from conftest import make_path, make_ring4

@@ -1,7 +1,6 @@
 """Device graph loading, utility, and calibration-drift modeling."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from qmux.devices import (
     DeviceGraph,
     VariationModel,
     apply_variation,
-    fit_lognormal,
     load_calibration,
     qubit_utility,
     save_calibration,
@@ -149,34 +147,6 @@ def test_variation_preserves_topology_and_range(heavyhex27):
     assert all(0.0 < e <= 0.999 for e in out.link_error.values())
 
 
-def test_fit_rejects_bad_samples():
-    with pytest.raises(CalibrationError):
-        fit_lognormal([2.0])
-    with pytest.raises(CalibrationError):
-        fit_lognormal([1.0, -0.5])
-
-
-def test_fit_constant_samples_floors_sigma():
-    with pytest.warns(UserWarning, match="degenerate"):
-        model = fit_lognormal([3.0, 3.0, 3.0])
-    assert model.mu == pytest.approx(math.log(3.0))
-    assert model.sigma == pytest.approx(np.finfo(float).eps)
-
-
-def test_fit_two_point_sample_exact():
-    model = fit_lognormal([math.e**0, math.e**2])
-    assert model.mu == pytest.approx(1.0)
-    assert model.sigma == pytest.approx(1.0)
-
-
-def test_fit_recovers_generating_parameters():
-    rng = np.random.default_rng(7)
-    draws = rng.lognormal(0.1, 0.3, size=100_000)
-    model = fit_lognormal(draws)
-    assert abs(model.mu - 0.1) < 0.01
-    assert abs(model.sigma - 0.3) < 0.01
-
-
 def test_utility_ranking_survives_small_variation(heavyhex27):
     base = utilities(heavyhex27)
     rhos = []
@@ -196,15 +166,3 @@ def test_variation_always_valid_device(sigma, seed):
     out = apply_variation(dev, VariationModel(mu=1.0, sigma=sigma, seed=seed))
     assert out.links == dev.links
     assert all(0.0 < e <= 0.999 for e in out.link_error.values())
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.lists(st.floats(0.001, 1000.0), min_size=2, max_size=50))
-def test_fit_matches_log_moments(samples):
-    logs = np.log(samples)
-    expect_sigma = float(np.std(logs))
-    if expect_sigma == 0.0:
-        return
-    model = fit_lognormal(samples)
-    assert model.mu == pytest.approx(float(np.mean(logs)))
-    assert model.sigma == pytest.approx(expect_sigma)

@@ -4,7 +4,8 @@ Every field of a Selection except its elapsed time is compared: the
 executable (by program name and identity) and the rank of every request
 slot, in request order, the strategy, the number of evaluations and the
 timeout flag. A raised conflict or timeout must have the same type and
-message.
+message. The exact search's ranks must also equal those of the reference's
+unpruned walk, which scores every combination.
 """
 
 import random
@@ -50,6 +51,19 @@ def _assert_same(new, old, *args, **kwargs):
     return expected
 
 
+def _optimum(outcome):
+    """The ranks of a placement, or the raised error: what every exact search agrees on."""
+    return outcome[1] if len(outcome) == 5 else outcome
+
+
+def _assert_exact(processes, **kwargs):
+    """The search matches the reference's pruned one and, on small requests, its unpruned walk."""
+    out = _assert_same(select_brute_force, ref.select_brute_force, processes, **kwargs)
+    if len(processes) <= PURE_MAX:
+        assert _optimum(out) == _optimum(_outcome(ref.select_brute_force, processes, pure=True, **kwargs))
+    return out
+
+
 @pytest.fixture(scope="module")
 def tables():
     out = {}
@@ -82,19 +96,7 @@ def test_selections_match_reference(tables, cell, vetoed):
             outcomes.append(
                 _assert_same(select_heuristic, ref.select_heuristic, request, strategy, seed=seed, crosstalk=xtalk)
             )
-        for objective in ("index_sum", "relative_rank"):
-            for pure in (False, True) if len(request) <= PURE_MAX else (False,):
-                outcomes.append(
-                    _assert_same(
-                        select_brute_force,
-                        ref.select_brute_force,
-                        request,
-                        timeout_s=60.0,
-                        pure=pure,
-                        crosstalk=xtalk,
-                        objective=objective,
-                    )
-                )
+        outcomes.append(_assert_exact(request, timeout_s=60.0, crosstalk=xtalk))
     # Guards the comparison: both placements and conflicts were exercised,
     # and no search ran into its deadline.
     placed = [o for o in outcomes if len(o) == 5]
@@ -156,17 +158,7 @@ def test_large_ids_match_reference(unit_base, qubit_base):
                 _assert_same(
                     select_heuristic, ref.select_heuristic, processes, strategy, seed=seed, crosstalk=crosstalk
                 )
-            for objective in ("index_sum", "relative_rank"):
-                for pure in (False, True):
-                    out = _assert_same(
-                        select_brute_force,
-                        ref.select_brute_force,
-                        processes,
-                        pure=pure,
-                        crosstalk=crosstalk,
-                        objective=objective,
-                    )
-                    placed += len(out) == 5
+            placed += len(_assert_exact(processes, crosstalk=crosstalk)) == 5
         _assert_same(_select_vanilla, ref.select_vanilla, processes, 5)
     assert placed > 0
 
