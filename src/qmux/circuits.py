@@ -103,10 +103,16 @@ def gate_list_depth(gates) -> int:
     level: dict[int, int] = {}
     depth = 0
     for gate in gates:
-        layer = 1 + max((level.get(q, 0) for q in gate.qubits), default=0)
-        for q in gate.qubits:
+        qubits = gate.qubits
+        layer = 0
+        for q in qubits:
+            if level.get(q, 0) > layer:
+                layer = level[q]
+        layer += 1
+        for q in qubits:
             level[q] = layer
-        depth = max(depth, layer)
+        if layer > depth:
+            depth = layer
     return depth
 
 

@@ -377,15 +377,29 @@ def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
 
 
 def _materialize(dag: _GateDag, ops) -> tuple[Gate, ...]:
-    """Gates for routing ops; a SWAP becomes its 3-CNOT expansion."""
+    """Gates for routing ops; a SWAP becomes its 3-CNOT expansion.
+
+    Routed gates repeat, so each distinct (name, physical operands, params)
+    is built once per call and every repeat is that same object.
+    """
+    built: dict[tuple, Gate] = {}
+
+    def gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> Gate:
+        key = (name, qubits, params)
+        g = built.get(key)
+        if g is None:
+            g = built[key] = Gate(name, qubits, params)
+        return g
+
     out: list[Gate] = []
     for i, phys in ops:
         if i < 0:
             p0, p1 = phys
-            out.extend((Gate("cx", (p0, p1)), Gate("cx", (p1, p0)), Gate("cx", (p0, p1))))
+            first = gate("cx", phys, ())
+            out.extend((first, gate("cx", (p1, p0), ()), first))
         else:
             g = dag.gates[i]
-            out.append(Gate(g.name, phys, g.params))
+            out.append(gate(g.name, phys, g.params))
     return tuple(out)
 
 

@@ -10,7 +10,7 @@ import json
 
 from .circuits import Gate
 from .compiler import Executable, Process
-from .devices import CrosstalkMap, read_json_object
+from .devices import CrosstalkMap, _json_int, read_json_object
 from .errors import QmuxError, located
 from .orchestrator import Selection
 from .partition import Region
@@ -19,13 +19,29 @@ _FORMAT = "qmux-processes-v1"
 _EXE_FORMAT = "qmux-executable-v1"
 
 
-def _gate_to_list(g: Gate) -> list:
-    return [g.name, list(g.qubits), list(g.params)]
+def _ints(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple, refused unless each is a JSON integer."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            _json_int(v, what)  # raises, with the message every loader shares
+    return values
 
 
-def _gate_from_list(item: list) -> Gate:
-    name, qubits, params = item
-    return Gate(name, tuple(qubits), tuple(params))
+def _gates(records, built: dict) -> tuple[Gate, ...]:
+    """Gates for routed-gate records; `built` maps each distinct record to its one Gate.
+
+    Operands are checked on every record, before the lookup: 17.0 == 17, so
+    a float operand would otherwise find the gate of an equal int record.
+    """
+    out = []
+    for name, qubits, params in records:
+        key = (name, _ints(qubits, "gate operand"), tuple(params))
+        gate = built.get(key)
+        if gate is None:
+            gate = built[key] = Gate(*key)
+        out.append(gate)
+    return tuple(out)
 
 
 def _write_compact(path: str, payload: dict) -> None:
@@ -46,7 +62,8 @@ def executable_to_dict(exe: Executable) -> dict:
         },
         "layout": list(exe.layout),
         "final_layout": list(exe.final_layout),
-        "routed_gates": [_gate_to_list(g) for g in exe.routed_gates],
+        # The encoder writes tuples as arrays, so no list is built per gate.
+        "routed_gates": [(g.name, g.qubits, g.params) for g in exe.routed_gates],
         "swap_count": exe.swap_count,
         "d_in": exe.d_in,
         "d_out": exe.d_out,
@@ -54,20 +71,24 @@ def executable_to_dict(exe: Executable) -> dict:
     }
 
 
-def executable_from_dict(data: dict) -> Executable:
-    """Rebuild an executable, refusing layouts that disagree with its size or region."""
+def executable_from_dict(data: dict, gates: dict) -> Executable:
+    """Rebuild an executable, refusing layouts that disagree with its size or region.
+
+    `gates` holds the gates already read from this file, by record; every
+    record of one file shares it, so each distinct gate is built once.
+    """
     try:
         region = Region(
-            unit_ids=frozenset(data["region"]["unit_ids"]),
-            qubits=frozenset(data["region"]["qubits"]),
+            unit_ids=frozenset(_ints(data["region"]["unit_ids"], "region unit id")),
+            qubits=frozenset(_ints(data["region"]["qubits"], "region qubit")),
         )
         exe = Executable(
             program_name=data["program_name"],
             num_qubits=data["num_qubits"],
             region=region,
-            layout=tuple(data["layout"]),
-            final_layout=tuple(data["final_layout"]),
-            routed_gates=tuple(_gate_from_list(g) for g in data["routed_gates"]),
+            layout=_ints(data["layout"], "layout entry"),
+            final_layout=_ints(data["final_layout"], "final layout entry"),
+            routed_gates=_gates(data["routed_gates"], gates),
             swap_count=data["swap_count"],
             d_in=data["d_in"],
             d_out=data["d_out"],
@@ -97,12 +118,13 @@ def process_to_dict(process: Process) -> dict:
     }
 
 
-def process_from_dict(data: dict) -> Process:
+def process_from_dict(data: dict, gates: dict) -> Process:
+    """Rebuild a process; `gates` is shared as in `executable_from_dict`."""
     try:
         return Process(
             program_name=data["program_name"],
             num_qubits=data["num_qubits"],
-            executables=tuple(executable_from_dict(e) for e in data["executables"]),
+            executables=tuple(executable_from_dict(e, gates) for e in data["executables"]),
         )
     except (KeyError, TypeError) as exc:
         raise QmuxError(f"malformed process record: {exc}") from exc
@@ -128,8 +150,9 @@ def load_processes(path: str) -> list[Process]:
     if payload.get("format") != _FORMAT:
         raise QmuxError(f"{path}: not a {_FORMAT} file")
     records = _process_records(path, payload)
+    gates: dict = {}
     with located(path):
-        return [process_from_dict(p) for p in records]
+        return [process_from_dict(p, gates) for p in records]
 
 
 def save_executable(path: str, exe: Executable) -> None:
@@ -148,11 +171,12 @@ def load_executables(path: str) -> list[Executable]:
     kind = payload.get("format")
     if kind == _EXE_FORMAT:
         with located(path):
-            return [executable_from_dict(payload)]
+            return [executable_from_dict(payload, {})]
     if kind == _FORMAT:
         records = _process_records(path, payload)
+        gates: dict = {}
         with located(path):
-            return [e for p in records for e in process_from_dict(p).executables]
+            return [e for p in records for e in process_from_dict(p, gates).executables]
     raise QmuxError(f"{path}: not a {_EXE_FORMAT} or {_FORMAT} file")
 
 
@@ -178,11 +202,13 @@ def selection_to_dict(selection: Selection) -> dict:
 
 
 def load_crosstalk_map(path: str) -> CrosstalkMap:
-    """Read {"flagged": [[a, b, factor], ...]} into a CrosstalkMap."""
+    """Read {"flagged": [[a, b, factor], ...]}, qubit ids as JSON integers, into a CrosstalkMap."""
     payload = read_json_object(path)
     with located(path):
         try:
-            amplification = {(int(a), int(b)): float(f) for a, b, f in payload["flagged"]}
+            amplification = {
+                _ints((a, b), "flagged link qubit"): float(f) for a, b, f in payload["flagged"]
+            }
         except (KeyError, TypeError, ValueError) as exc:
             raise QmuxError(f"malformed crosstalk map: {exc}") from exc
         return CrosstalkMap(amplification)

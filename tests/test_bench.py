@@ -366,8 +366,8 @@ def test_unknown_strategy_rejected_in_every_mode(mode, heavyhex27):
 def test_serialization_roundtrips(ug27_m4, tmp_path):
     process = compile_multi_version(load_benchmark("adder_n4"), ug27_m4)
     exe = process.executables[0]
-    assert executable_from_dict(executable_to_dict(exe)) == exe
-    assert process_from_dict(process_to_dict(process)) == process
+    assert executable_from_dict(executable_to_dict(exe), {}) == exe
+    assert process_from_dict(process_to_dict(process), {}) == process
 
     manifest = tmp_path / "adder_n4.process.json"
     save_processes(str(manifest), [process])
@@ -385,6 +385,123 @@ def test_serialization_roundtrips(ug27_m4, tmp_path):
     json.dumps(payload)
 
 
+def _distinct(gates):
+    """(distinct gate values, distinct gate objects) in `gates`."""
+    gates = list(gates)
+    return len(set(gates)), len({id(g) for g in gates})
+
+
+def test_compiled_executable_holds_one_object_per_distinct_gate(ug27_m4):
+    process = compile_multi_version(load_benchmark("adder_n4"), ug27_m4)
+    for exe in process.executables:
+        values, objects = _distinct(exe.routed_gates)
+        assert values < len(exe.routed_gates)
+        assert objects == values
+
+
+@pytest.fixture(scope="module")
+def small_table(ug27_m4):
+    return [compile_multi_version(load_benchmark(n), ug27_m4) for n in ("adder_n4", "wstate_n3")]
+
+
+def test_loaded_manifest_holds_one_object_per_distinct_record(small_table, tmp_path):
+    manifest = tmp_path / "table.json"
+    save_processes(str(manifest), small_table)
+    records = [
+        g
+        for p in json.loads(manifest.read_text())["processes"]
+        for e in p["executables"]
+        for g in e["routed_gates"]
+    ]
+    distinct = len({(n, tuple(q), tuple(p)) for n, q, p in records})
+    assert distinct < len(records)
+
+    loaded = load_processes(str(manifest))
+    assert loaded == small_table
+    # Counted across the whole file: programs share gates too.
+    assert _distinct(g for p in loaded for e in p.executables for g in e.routed_gates) == (distinct, distinct)
+    executables = load_executables(str(manifest))
+    assert _distinct(g for e in executables for g in e.routed_gates) == (distinct, distinct)
+
+
+def test_saved_table_is_the_list_form_v1_text(small_table, tmp_path):
+    manifest = tmp_path / "table.json"
+    save_processes(str(manifest), small_table)
+    payload = {
+        "format": "qmux-processes-v1",
+        "processes": [
+            {
+                "program_name": p.program_name,
+                "num_qubits": p.num_qubits,
+                "executables": [
+                    {
+                        "program_name": e.program_name,
+                        "num_qubits": e.num_qubits,
+                        "region": {"unit_ids": sorted(e.region.unit_ids), "qubits": sorted(e.region.qubits)},
+                        "layout": list(e.layout),
+                        "final_layout": list(e.final_layout),
+                        "routed_gates": [[g.name, list(g.qubits), list(g.params)] for g in e.routed_gates],
+                        "swap_count": e.swap_count,
+                        "d_in": e.d_in,
+                        "d_out": e.d_out,
+                        "region_utility": e.region_utility,
+                    }
+                    for e in p.executables
+                ],
+            }
+            for p in small_table
+        ],
+    }
+    assert manifest.read_text() == json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def _manifest_with(tmp_path, process, edit):
+    """A one-process manifest whose last executable record went through `edit`."""
+    payload = {"format": "qmux-processes-v1", "processes": [process_to_dict(process)]}
+    payload = json.loads(json.dumps(payload))  # lists where the saver writes tuples, as a reader sees it
+    edit(payload["processes"][0]["executables"][-1])
+    return _write(tmp_path / "bad.json", json.dumps(payload))
+
+
+def _float_operand_after_equal_int(record):
+    # 17.0 == 17: the copy must not pass as the gate read just before it.
+    name, qubits, params = record["routed_gates"][-1]
+    record["routed_gates"].append([name, [float(q) for q in qubits], params])
+
+
+NON_INTEGER_RECORDS = {
+    "unit-id": (lambda r: r["region"].update(unit_ids=[1.5]), "region unit id must be an integer, got 1.5"),
+    "region-qubit": (
+        lambda r: r["region"]["qubits"].__setitem__(0, float(r["region"]["qubits"][0])),
+        "region qubit must be an integer, got",
+    ),
+    "layout": (lambda r: r["layout"].__setitem__(0, float(r["layout"][0])), "layout entry must be an integer"),
+    "final-layout": (
+        lambda r: r["final_layout"].__setitem__(0, True),
+        "final layout entry must be an integer, got True",
+    ),
+    "gate-operand": (_float_operand_after_equal_int, "gate operand must be an integer, got"),
+}
+
+
+@pytest.mark.parametrize("edit, message", NON_INTEGER_RECORDS.values(), ids=NON_INTEGER_RECORDS)
+@pytest.mark.parametrize("loader", [load_processes, load_executables])
+def test_loaders_refuse_non_integer_ids(tmp_path, ug27_m4, loader, edit, message):
+    process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+    path = _manifest_with(tmp_path, process, edit)
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: malformed executable record: {re.escape(message)}"):
+        loader(path)
+
+
+def test_loaders_refuse_repeated_operands_after_valid_records(tmp_path, ug27_m4):
+    process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+    a = process.executables[-1].layout[0]
+    path = _manifest_with(tmp_path, process, lambda r: r["routed_gates"].append(["cx", [a, a], []]))
+    for loader in (load_processes, load_executables):
+        with pytest.raises(QmuxError, match=f"^{re.escape(path)}: cx has repeated operands"):
+            loader(path)
+
+
 # (file content or None for no file, the start of the error message after the path)
 BAD_FILES = [
     (None, "cannot read"),
@@ -396,6 +513,22 @@ BAD_MANIFESTS = [
     ('{"format": "qmux-processes-v1"}', '"processes" is not a list'),
     ('{"format": "qmux-processes-v1", "processes": 3}', '"processes" is not a list'),
     ('{"format": "qmux-processes-v1", "processes": [[1]]}', "malformed process record"),
+    pytest.param(
+        json.dumps({"format": "qmux-processes-v1", "processes": [{
+            "program_name": "p", "num_qubits": 1, "executables": [{
+                "program_name": "p", "num_qubits": 1, "region": {"unit_ids": [1.5], "qubits": [0]},
+                "layout": [0], "final_layout": [0], "routed_gates": [["x", [0], []]],
+                "swap_count": 0, "d_in": 1, "d_out": 1, "region_utility": 1.0,
+            }],
+        }]}),
+        "malformed executable record: region unit id must be an integer, got 1.5",
+        id="unit-id-fraction",
+    ),
+]
+# (crosstalk map content, the error message after the path)
+BAD_CROSSTALK_MAPS = [
+    (json.dumps({"flagged": [entry]}), f"malformed crosstalk map: flagged link qubit must be an integer, got {bad}")
+    for entry, bad in (([15.5, 18, 3.0], "15.5"), ([15, 18.0, 3.0], "18.0"), ([True, 18, 3.0], "True"))
 ]
 
 
@@ -413,6 +546,13 @@ def test_loaders_reject_unreadable_files(tmp_path, loader, content, message):
     path = _write(tmp_path / "bad.json", content)
     with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {message}"):
         loader(path)
+
+
+@pytest.mark.parametrize("content, message", BAD_CROSSTALK_MAPS, ids=["fraction", "float", "bool"])
+def test_crosstalk_map_refuses_non_integer_ids(tmp_path, content, message):
+    path = _write(tmp_path / "xtalk.json", content)
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+        load_crosstalk_map(path)
 
 
 @pytest.mark.parametrize("loader", [load_processes, load_executables, load_crosstalk_map])
@@ -456,7 +596,7 @@ def test_cli_bad_crosstalk_map_fails_cleanly(tmp_path, capsys):
     assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
     manifest = str(out_dir / "wstate_n3.process.json")
     capsys.readouterr()
-    for i, (content, message) in enumerate(BAD_FILES):
+    for i, (content, message) in enumerate(BAD_FILES + BAD_CROSSTALK_MAPS):
         xtalk = _write(tmp_path / f"xtalk{i}.json", content)
         out = tmp_path / "selection.json"
         assert main(["orchestrate", manifest, "--crosstalk", xtalk, "--out", str(out)]) == 1
