@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import threading
 from dataclasses import dataclass
 
 from .errors import CircuitError, QasmError
@@ -174,10 +175,16 @@ def _statements(text: str):
         raise QasmError(f"unterminated statement {tail[:40]!r}", start or line)
 
 
+# CPython 3.11's AST constructor keeps one depth counter per interpreter, so
+# two threads in ast.parse at once can raise SystemError; parses take turns.
+_PARSE_LOCK = threading.Lock()
+
+
 def _eval_param(text: str, line: int) -> float:
     """Evaluate a parameter expression of numbers, pi, + - * / ** and parens."""
     try:
-        tree = ast.parse(text.strip(), mode="eval")
+        with _PARSE_LOCK:
+            tree = ast.parse(text.strip(), mode="eval")
     except SyntaxError:
         raise QasmError(f"bad parameter expression {text.strip()!r}", line) from None
 

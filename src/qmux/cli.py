@@ -43,8 +43,9 @@ def _load_program(spec: str):
 
 
 def _check_topology(exe: Executable, device: DeviceGraph) -> None:
-    """Refuse an executable whose qubits or routed links `device` does not have,
-    or whose routed gates leave its region."""
+    """Refuse an executable whose region qubits or routed links `device` does not have.
+
+    The loader has already kept every routed gate inside its region."""
     outside = sorted(q for q in exe.region.qubits if q >= device.num_qubits)
     if outside:
         raise TopologyMismatch(
@@ -52,11 +53,6 @@ def _check_topology(exe: Executable, device: DeviceGraph) -> None:
             f"{device.name}, which has {device.num_qubits} qubits"
         )
     for g in exe.routed_gates:
-        if not exe.region.qubits.issuperset(g.qubits):
-            raise QmuxError(
-                f"{exe.program_name}: routed {g.name} on qubits {', '.join(map(str, g.qubits))} "
-                "leaves its region"
-            )
         if g.is_two_qubit and not device.has_link(*g.qubits):
             a, b = g.qubits
             raise TopologyMismatch(
@@ -137,23 +133,25 @@ def _cmd_orchestrate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.all_versions and len(args.executables) > 1:
-        raise QmuxError(
-            f"--all-versions runs the versions of one program; got {len(args.executables)} programs"
-        )
+    one_program = "--all-versions runs the versions of one program; got {} programs"
+    if args.all_versions and len(args.executables) > 1:  # refused before any file is read
+        raise QmuxError(one_program.format(len(args.executables)))
     device = _load_device(args.device)
     crosstalk = serialize.load_crosstalk_map(args.crosstalk) if args.crosstalk else None
-    executables = []
-    for path in args.executables:
-        loaded = serialize.load_executables(path)
-        executables.extend(loaded if args.all_versions else loaded[:1])
+    processes = [p for path in args.executables for p in serialize.load_processes(path)]
+    if args.all_versions:
+        if len(processes) != 1:
+            raise QmuxError(one_program.format(len(processes)))
+        executables = list(processes[0].executables)
+    else:
+        executables = [p.executables[0] for p in processes]  # one slot per process, at rank 1
     for exe in executables:
         _check_topology(exe, device)
     if args.all_versions:
         # Versions of one program are alternatives: each runs alone.
         co_claimed = [frozenset()] * len(executables)
     else:
-        # Each path is one co-running slot, so a program may co-run with itself.
+        # Slots co-run, so one program may co-run with itself.
         for first, second in itertools.combinations(executables, 2):
             shared = first.region.qubits & second.region.qubits
             if shared:
@@ -239,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("orchestrate", help="select conflict-free executables")
-    p.add_argument("manifests", nargs="+", help="process manifest files")
+    p.add_argument("manifests", nargs="+", help="process manifests or executable artifacts")
     p.add_argument("--strategy", choices=STRATEGIES, default="small_first")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=10.0)
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_orchestrate)
 
     p = sub.add_parser("run", help="simulate executables under device noise")
-    p.add_argument("executables", nargs="+", help="executable artifacts or process manifests")
+    p.add_argument("executables", nargs="+", help="artifacts or manifests; one slot per process")
     p.add_argument("--device", required=True)
     p.add_argument("--shots", type=int, default=2**14)
     p.add_argument("--seed", type=int, default=0)

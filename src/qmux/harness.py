@@ -178,15 +178,9 @@ class GroupRecord:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """All group records of one experiment configuration."""
+    """All group records of one experiment configuration; each record carries its settings."""
 
     records: tuple[GroupRecord, ...]
-    mode: str
-    strategy: str
-    device_name: str
-    unit_size: int
-    shots: int
-    seed: int
 
     def successes(self) -> list[GroupRecord]:
         return [r for r in self.records if r.success]
@@ -373,15 +367,7 @@ class FidelityExperiment:
         else:
             records = [self.run_group(g) for g in groups]
         records.sort(key=lambda r: r.group_id)
-        return ExperimentReport(
-            records=tuple(records),
-            mode=self.mode,
-            strategy=self.strategy,
-            device_name=self.device.name,
-            unit_size=self.unit_size,
-            shots=self.shots,
-            seed=self.seed,
-        )
+        return ExperimentReport(tuple(records))
 
 
 def sample_crosstalk_map(unit_graph: UnitGraph, seed: int = 0) -> CrosstalkMap:

@@ -28,15 +28,31 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
-def _gates(records, built: dict) -> tuple[Gate, ...]:
+def _numbers(values, what: str) -> tuple:
+    """`values` as a tuple, refused unless each is a JSON number (not true or false)."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not float and type(v) is not int:
+            raise TypeError(f"{what} must be a number, got {v!r}")
+    return values
+
+
+def _gates(records, built: dict, region: frozenset[int], program_name: str) -> tuple[Gate, ...]:
     """Gates for routed-gate records; `built` maps each distinct record to its one Gate.
 
-    Operands are checked on every record, before the lookup: 17.0 == 17, so
-    a float operand would otherwise find the gate of an equal int record.
+    Operands, params and the region are checked on every record, before the
+    lookup: 17.0 == 17 and true == 1, so a float operand or a bool param
+    would otherwise find the gate of an equal record, and a gate built for
+    one executable's region may lie outside the next one's.
     """
     out = []
     for name, qubits, params in records:
-        key = (name, _ints(qubits, "gate operand"), tuple(params))
+        key = (name, _ints(qubits, "gate operand"), _numbers(params, "gate param"))
+        if not region.issuperset(key[1]):
+            raise QmuxError(
+                f"malformed executable record: {program_name}'s routed {name} on qubits "
+                f"{', '.join(map(str, key[1]))} leaves its region"
+            )
         gate = built.get(key)
         if gate is None:
             gate = built[key] = Gate(*key)
@@ -72,23 +88,26 @@ def executable_to_dict(exe: Executable) -> dict:
 
 
 def executable_from_dict(data: dict, gates: dict) -> Executable:
-    """Rebuild an executable, refusing layouts that disagree with its size or region.
+    """Rebuild an executable, refusing what its record contradicts about itself.
 
-    `gates` holds the gates already read from this file, by record; every
-    record of one file shares it, so each distinct gate is built once.
+    This is the one check of a record: integer ids, numeric gate params, and
+    layouts and routed gates that fit its size and region. `gates` holds the
+    gates already read from this file, by record; every record of one file
+    shares it, so each distinct gate is built once.
     """
     try:
         region = Region(
             unit_ids=frozenset(_ints(data["region"]["unit_ids"], "region unit id")),
             qubits=frozenset(_ints(data["region"]["qubits"], "region qubit")),
         )
+        program_name = data["program_name"]
         exe = Executable(
-            program_name=data["program_name"],
-            num_qubits=data["num_qubits"],
+            program_name=program_name,
+            num_qubits=_json_int(data["num_qubits"], "num_qubits"),
             region=region,
             layout=_ints(data["layout"], "layout entry"),
             final_layout=_ints(data["final_layout"], "final layout entry"),
-            routed_gates=_gates(data["routed_gates"], gates),
+            routed_gates=_gates(data["routed_gates"], gates, region.qubits, program_name),
             swap_count=data["swap_count"],
             d_in=data["d_in"],
             d_out=data["d_out"],
@@ -123,7 +142,7 @@ def process_from_dict(data: dict, gates: dict) -> Process:
     try:
         return Process(
             program_name=data["program_name"],
-            num_qubits=data["num_qubits"],
+            num_qubits=_json_int(data["num_qubits"], "num_qubits"),
             executables=tuple(executable_from_dict(e, gates) for e in data["executables"]),
         )
     except (KeyError, TypeError) as exc:
@@ -138,20 +157,21 @@ def save_processes(path: str, processes: list[Process]) -> None:
     _write_compact(path, payload)
 
 
-def _process_records(path: str, payload: dict) -> list:
-    records = payload.get("processes")
-    if not isinstance(records, list):
-        raise QmuxError(f"{path}: \"processes\" is not a list")
-    return records
-
-
 def load_processes(path: str) -> list[Process]:
+    """The processes of a qmux-processes-v1 manifest, or of a qmux-executable-v1
+    artifact: one process that holds the artifact's one executable."""
     payload = read_json_object(path)
-    if payload.get("format") != _FORMAT:
-        raise QmuxError(f"{path}: not a {_FORMAT} file")
-    records = _process_records(path, payload)
+    kind = payload.get("format")
     gates: dict = {}
     with located(path):
+        if kind == _EXE_FORMAT:
+            exe = executable_from_dict(payload, gates)
+            return [Process(exe.program_name, exe.num_qubits, (exe,))]
+        if kind != _FORMAT:
+            raise QmuxError(f"not a {_EXE_FORMAT} or {_FORMAT} file")
+        records = payload.get("processes")
+        if not isinstance(records, list):
+            raise QmuxError('"processes" is not a list')
         return [process_from_dict(p, gates) for p in records]
 
 
@@ -159,25 +179,6 @@ def save_executable(path: str, exe: Executable) -> None:
     payload = executable_to_dict(exe)
     payload["format"] = _EXE_FORMAT
     _write_compact(path, payload)
-
-
-def load_executables(path: str) -> list[Executable]:
-    """Read executables from an artifact or a process manifest.
-
-    A single-executable artifact yields one entry; a process manifest yields
-    that process's full cost-ascending list.
-    """
-    payload = read_json_object(path)
-    kind = payload.get("format")
-    if kind == _EXE_FORMAT:
-        with located(path):
-            return [executable_from_dict(payload, {})]
-    if kind == _FORMAT:
-        records = _process_records(path, payload)
-        gates: dict = {}
-        with located(path):
-            return [e for p in records for e in process_from_dict(p, gates).executables]
-    raise QmuxError(f"{path}: not a {_EXE_FORMAT} or {_FORMAT} file")
 
 
 def selection_to_dict(selection: Selection) -> dict:

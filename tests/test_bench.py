@@ -9,7 +9,7 @@ import pytest
 
 from qmux.benchmarks import device_path, load_benchmark, load_device
 from qmux.cli import main
-from qmux.compiler import compile_multi_version
+from qmux.compiler import Process, compile_multi_version
 from qmux.devices import CrosstalkMap, VariationModel, apply_variation, load_calibration
 from qmux.errors import QmuxError
 from qmux.harness import (
@@ -32,11 +32,11 @@ from qmux.serialize import (
     executable_from_dict,
     executable_to_dict,
     load_crosstalk_map,
-    load_executables,
     load_processes,
     process_from_dict,
     process_to_dict,
     save_crosstalk_map,
+    save_executable,
     save_processes,
     selection_to_dict,
 )
@@ -204,7 +204,7 @@ def _fake_report(n_success: int, n_total: int) -> ExperimentReport:
         )
         for i in range(n_total)
     )
-    return ExperimentReport(records, "flamenco", "small_first", "dev", 4, 1, 0)
+    return ExperimentReport(records)
 
 
 def test_success_ratio_arithmetic():
@@ -212,7 +212,7 @@ def test_success_ratio_arithmetic():
     assert success_ratio(_fake_report(26, 30)) == pytest.approx(26 / 30)
     assert success_ratio(_fake_report(5, 5)) == 1.0
     with pytest.raises(ValueError):
-        success_ratio(ExperimentReport((), "flamenco", "small_first", "dev", 4, 1, 0))
+        success_ratio(ExperimentReport(()))
 
 
 def test_unit_size_sweep_parameter_rows(heavyhex27, small_suite):
@@ -372,6 +372,10 @@ def test_serialization_roundtrips(ug27_m4, tmp_path):
     manifest = tmp_path / "adder_n4.process.json"
     save_processes(str(manifest), [process])
     assert load_processes(str(manifest)) == [process]
+    # An artifact reads back as one process that holds its one executable.
+    artifact = tmp_path / "adder_n4.exe.json"
+    save_executable(str(artifact), exe)
+    assert load_processes(str(artifact)) == [Process("adder_n4", 4, (exe,))]
 
     xmap = CrosstalkMap({(0, 1): 2.5, (5, 8): 4.0})
     xpath = tmp_path / "xtalk.json"
@@ -420,8 +424,6 @@ def test_loaded_manifest_holds_one_object_per_distinct_record(small_table, tmp_p
     assert loaded == small_table
     # Counted across the whole file: programs share gates too.
     assert _distinct(g for p in loaded for e in p.executables for g in e.routed_gates) == (distinct, distinct)
-    executables = load_executables(str(manifest))
-    assert _distinct(g for e in executables for g in e.routed_gates) == (distinct, distinct)
 
 
 def test_saved_table_is_the_list_form_v1_text(small_table, tmp_path):
@@ -455,11 +457,15 @@ def test_saved_table_is_the_list_form_v1_text(small_table, tmp_path):
     assert manifest.read_text() == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def _manifest_with(tmp_path, process, edit):
-    """A one-process manifest whose last executable record went through `edit`."""
-    payload = {"format": "qmux-processes-v1", "processes": [process_to_dict(process)]}
+def _file_with(tmp_path, process, edit, fmt="manifest"):
+    """A one-process manifest, or with fmt="artifact" its last executable's
+    artifact, whose last executable record went through `edit`."""
+    if fmt == "artifact":
+        payload = executable_to_dict(process.executables[-1]) | {"format": "qmux-executable-v1"}
+    else:
+        payload = {"format": "qmux-processes-v1", "processes": [process_to_dict(process)]}
     payload = json.loads(json.dumps(payload))  # lists where the saver writes tuples, as a reader sees it
-    edit(payload["processes"][0]["executables"][-1])
+    edit(payload if fmt == "artifact" else payload["processes"][0]["executables"][-1])
     return _write(tmp_path / "bad.json", json.dumps(payload))
 
 
@@ -481,25 +487,66 @@ NON_INTEGER_RECORDS = {
         "final layout entry must be an integer, got True",
     ),
     "gate-operand": (_float_operand_after_equal_int, "gate operand must be an integer, got"),
+    "num-qubits": (lambda r: r.update(num_qubits=3.0), "num_qubits must be an integer, got 3.0"),
 }
 
 
 @pytest.mark.parametrize("edit, message", NON_INTEGER_RECORDS.values(), ids=NON_INTEGER_RECORDS)
-@pytest.mark.parametrize("loader", [load_processes, load_executables])
-def test_loaders_refuse_non_integer_ids(tmp_path, ug27_m4, loader, edit, message):
+@pytest.mark.parametrize("fmt", ["manifest", "artifact"])
+def test_loaders_refuse_non_integer_ids(tmp_path, ug27_m4, fmt, edit, message):
     process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
-    path = _manifest_with(tmp_path, process, edit)
+    path = _file_with(tmp_path, process, edit, fmt)
     with pytest.raises(QmuxError, match=f"^{re.escape(path)}: malformed executable record: {re.escape(message)}"):
-        loader(path)
+        load_processes(path)
+
+
+def _param_gate(record):
+    return next(g for g in record["routed_gates"] if g[2])
+
+
+def _bool_param_after_equal_int(record):
+    # true == 1: the bool record must not pass as the gate read just before it.
+    name, qubits, _ = _param_gate(record)
+    record["routed_gates"] += [[name, qubits, [1]], [name, qubits, [True]]]
+
+
+NON_NUMERIC_PARAMS = {
+    "string": (lambda r: _param_gate(r).__setitem__(2, ["abc"]), "gate param must be a number, got 'abc'"),
+    "null": (lambda r: _param_gate(r).__setitem__(2, [None]), "gate param must be a number, got None"),
+    "bool": (_bool_param_after_equal_int, "gate param must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("edit, message", NON_NUMERIC_PARAMS.values(), ids=NON_NUMERIC_PARAMS)
+@pytest.mark.parametrize("fmt", ["manifest", "artifact"])
+def test_loader_refuses_non_numeric_gate_params(tmp_path, ug27_m4, fmt, edit, message):
+    process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+    path = _file_with(tmp_path, process, edit, fmt)
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: malformed executable record: {re.escape(message)}$"):
+        load_processes(path)
+
+
+@pytest.mark.parametrize("fmt", ["manifest", "artifact"])
+def test_loader_refuses_routed_gate_leaving_its_region(tmp_path, ug27_m4, fmt):
+    process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+    last = process.executables[-1].region.qubits
+    # A gate of the first version, outside the last version's region. In a
+    # manifest that gate is already built when the last record is read.
+    gate = next(g for g in process.executables[0].routed_gates if g.is_two_qubit and not last.issuperset(g.qubits))
+    path = _file_with(tmp_path, process, lambda r: r["routed_gates"].append([gate.name, gate.qubits, []]), fmt)
+    a, b = gate.qubits
+    message = f"malformed executable record: wstate_n3's routed {gate.name} on qubits {a}, {b} leaves its region"
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+        load_processes(path)
 
 
 def test_loaders_refuse_repeated_operands_after_valid_records(tmp_path, ug27_m4):
     process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
     a = process.executables[-1].layout[0]
-    path = _manifest_with(tmp_path, process, lambda r: r["routed_gates"].append(["cx", [a, a], []]))
-    for loader in (load_processes, load_executables):
+    for fmt in ("manifest", "artifact"):
+        path = _file_with(tmp_path, process, lambda r: r["routed_gates"].append(["cx", [a, a], []]), fmt)
         with pytest.raises(QmuxError, match=f"^{re.escape(path)}: cx has repeated operands"):
-            loader(path)
+            load_processes(path)
 
 
 # (file content or None for no file, the start of the error message after the path)
@@ -509,20 +556,48 @@ BAD_FILES = [
     (b"\xff\xfe{}", "not valid JSON"),
     ("[1, 2]", "not a JSON object"),
 ]
+# A one-qubit executable record that loads, for hand-made bad files.
+ONE_QUBIT_RECORD = {
+    "program_name": "p", "num_qubits": 1, "region": {"unit_ids": [0], "qubits": [0]},
+    "layout": [0], "final_layout": [0], "routed_gates": [["ry", [0], [0.5]]],
+    "swap_count": 0, "d_in": 1, "d_out": 1, "region_utility": 1.0,
+}
+
+
+def _manifest_of(record, **process):
+    """A manifest of one process that holds `record`, with `process` replacing process fields."""
+    process = {"program_name": "p", "num_qubits": 1, "executables": [record]} | process
+    return json.dumps({"format": "qmux-processes-v1", "processes": [process]})
+
+
+def _artifact_of(record):
+    return json.dumps(record | {"format": "qmux-executable-v1"})
+
+
 BAD_MANIFESTS = [
+    ('{"format": "qmux-processes-v2"}', "not a qmux-executable-v1 or qmux-processes-v1 file"),
     ('{"format": "qmux-processes-v1"}', '"processes" is not a list'),
     ('{"format": "qmux-processes-v1", "processes": 3}', '"processes" is not a list'),
     ('{"format": "qmux-processes-v1", "processes": [[1]]}', "malformed process record"),
     pytest.param(
-        json.dumps({"format": "qmux-processes-v1", "processes": [{
-            "program_name": "p", "num_qubits": 1, "executables": [{
-                "program_name": "p", "num_qubits": 1, "region": {"unit_ids": [1.5], "qubits": [0]},
-                "layout": [0], "final_layout": [0], "routed_gates": [["x", [0], []]],
-                "swap_count": 0, "d_in": 1, "d_out": 1, "region_utility": 1.0,
-            }],
-        }]}),
+        _manifest_of(ONE_QUBIT_RECORD | {"region": {"unit_ids": [1.5], "qubits": [0]}}),
         "malformed executable record: region unit id must be an integer, got 1.5",
         id="unit-id-fraction",
+    ),
+    pytest.param(
+        _manifest_of(ONE_QUBIT_RECORD, num_qubits=1.0),
+        "malformed process record: num_qubits must be an integer, got 1.0",
+        id="process-num-qubits-float",
+    ),
+    pytest.param(
+        _artifact_of(ONE_QUBIT_RECORD | {"routed_gates": [["ry", [0], ["abc"]]]}),
+        "malformed executable record: gate param must be a number, got 'abc'",
+        id="param-string",
+    ),
+    pytest.param(
+        _artifact_of(ONE_QUBIT_RECORD | {"num_qubits": 1.0}),
+        "malformed executable record: num_qubits must be an integer, got 1.0",
+        id="num-qubits-float",
     ),
 ]
 # (crosstalk map content, the error message after the path)
@@ -541,7 +616,7 @@ def _write(path, content):
 
 
 @pytest.mark.parametrize("content, message", BAD_FILES)
-@pytest.mark.parametrize("loader", [load_processes, load_executables, load_crosstalk_map])
+@pytest.mark.parametrize("loader", [load_processes, load_crosstalk_map])
 def test_loaders_reject_unreadable_files(tmp_path, loader, content, message):
     path = _write(tmp_path / "bad.json", content)
     with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {message}"):
@@ -555,25 +630,27 @@ def test_crosstalk_map_refuses_non_integer_ids(tmp_path, content, message):
         load_crosstalk_map(path)
 
 
-@pytest.mark.parametrize("loader", [load_processes, load_executables, load_crosstalk_map])
+@pytest.mark.parametrize("loader", [load_processes, load_crosstalk_map])
 def test_loaders_name_the_file_in_record_errors(tmp_path, ug27_m4, loader):
     # Each file parses, but a record in it is refused after the read.
     if loader is load_crosstalk_map:
-        payload, message = {"flagged": [[0, 1, 0.5]]}, "crosstalk factor 0.5 on (0, 1) below 1"
+        payloads, message = [{"flagged": [[0, 1, 0.5]]}], "crosstalk factor 0.5 on (0, 1) below 1"
     else:
         process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
         record = executable_to_dict(process.executables[0])
         record["num_qubits"] += 1
         message = "malformed executable record: wstate_n3 has 4 qubits"
-        if loader is load_processes:
-            payload = process_to_dict(process)
-            payload["executables"][0] = record
-            payload = {"format": "qmux-processes-v1", "processes": [payload]}
-        else:
-            payload = record | {"format": "qmux-executable-v1"}
-    path = _write(tmp_path / "bad.json", json.dumps(payload))
-    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}"):
-        loader(path)
+        manifest = process_to_dict(process)
+        manifest["executables"][0] = record
+        # The record in a manifest, and alone in an artifact.
+        payloads = [
+            {"format": "qmux-processes-v1", "processes": [manifest]},
+            record | {"format": "qmux-executable-v1"},
+        ]
+    for payload in payloads:
+        path = _write(tmp_path / "bad.json", json.dumps(payload))
+        with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}"):
+            loader(path)
 
 
 @pytest.mark.parametrize("content, message", BAD_FILES + BAD_MANIFESTS)
@@ -586,7 +663,7 @@ def test_cli_bad_manifest_fails_cleanly(tmp_path, capsys, command, content, mess
         argv += ["--device", "heavyhex27", "--shots", "64"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
     assert message in err
     assert not out.exists()
 
@@ -660,7 +737,7 @@ def test_cli_run_refuses_artifact_outside_its_region(tmp_path, capsys, heavyhex2
     out = tmp_path / "run.json"
     assert main(["run", str(artifact), "--device", "heavyhex27", "--shots", "64", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {artifact}: ") and "Traceback" not in err
     assert message in err
     assert not out.exists()
 
@@ -760,15 +837,20 @@ def test_cli_bench_suite_too_small_for_groups(tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+def _rank1(path):
+    """The rank-1 executable of the first process in a manifest or artifact."""
+    return load_processes(str(path))[0].executables[0]
+
+
 def test_cli_run_crosstalk_between_programs_lowers_fidelity(tmp_path, heavyhex27):
     out_dir = tmp_path / "compiled"
     for name in ("wstate_n3", "adder_n4"):
         assert main(["compile", name, "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
     (first,) = out_dir.glob("wstate_n3.r1.*.exe.json")
-    region = load_executables(str(first))[0].region.qubits
+    region = _rank1(first).region.qubits
     # An adder version on a region next to wstate's, sharing no qubit with it.
     for path in sorted(out_dir.glob("adder_n4.r*.exe.json")):
-        other = load_executables(str(path))[0].region.qubits
+        other = _rank1(path).region.qubits
         between = [l for l in heavyhex27.links if len(set(l) & region) == 1 and len(set(l) & other) == 1]
         if between and not region & other:
             second = path
@@ -797,7 +879,7 @@ def test_cli_run_rejects_programs_sharing_qubits(tmp_path, capsys):
         assert main(["compile", name, "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
     (first,) = out_dir.glob("wstate_n3.r1.*.exe.json")
     (second,) = out_dir.glob("fredkin_n3.r1.*.exe.json")
-    shared = load_executables(str(first))[0].region.qubits & load_executables(str(second))[0].region.qubits
+    shared = _rank1(first).region.qubits & _rank1(second).region.qubits
     assert shared
     capsys.readouterr()
     out = tmp_path / "run.json"
@@ -832,10 +914,10 @@ def test_cli_run_co_runs_one_program_with_itself(tmp_path, heavyhex27):
     out_dir = tmp_path / "compiled"
     assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
     (first,) = out_dir.glob("wstate_n3.r1.*.exe.json")
-    region = load_executables(str(first))[0].region.qubits
+    region = _rank1(first).region.qubits
     # Another version of the same program next to the first, sharing no qubit with it.
     for path in sorted(out_dir.glob("wstate_n3.r*.exe.json")):
-        other = load_executables(str(path))[0].region.qubits
+        other = _rank1(path).region.qubits
         between = [l for l in heavyhex27.links if len(set(l) & region) == 1 and len(set(l) & other) == 1]
         if between and not region & other:
             second = path
@@ -860,14 +942,14 @@ def test_cli_run_rejects_one_program_twice_on_shared_qubits(tmp_path, capsys):
     assert main(["compile", *argv, str(tmp_path / "m4"), "-m", "4"]) == 0
     assert main(["compile", *argv, str(tmp_path / "m2"), "-m", "2"]) == 0
     pairs = [
-        (a, b, load_executables(str(a))[0].region.qubits & load_executables(str(b))[0].region.qubits)
+        (a, b, _rank1(a).region.qubits & _rank1(b).region.qubits)
         for a in sorted((tmp_path / "m4").glob("*.exe.json"))
         for b in sorted((tmp_path / "m2").glob("*.exe.json"))
     ]
     first, second, shared = next(p for p in pairs if p[2])
     out = tmp_path / "run.json"
     # One artifact given twice overlaps itself everywhere.
-    twice = load_executables(str(first))[0].region.qubits
+    twice = _rank1(first).region.qubits
     for paths, overlap in (((first, second), shared), ((first, first), twice)):
         capsys.readouterr()
         argv = ["run", *map(str, paths), "--device", "heavyhex27", "--shots", "64", "--out", str(out)]
@@ -886,7 +968,7 @@ def _run_on_other_device(tmp_path, capsys, compiled_for, run_on):
     capsys.readouterr()
     out = tmp_path / "run.json"
     status = main(["run", str(artifact), "--device", run_on, "--shots", "64", "--out", str(out)])
-    return load_executables(str(artifact))[0], status, capsys.readouterr().err, out
+    return _rank1(artifact), status, capsys.readouterr().err, out
 
 
 def test_cli_run_rejects_links_the_device_lacks(tmp_path, capsys):
@@ -927,3 +1009,47 @@ def test_cli_run_all_versions_refuses_several_programs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == "error: --all-versions runs the versions of one program; got 2 programs\n"
         assert not out.exists()
+
+
+def test_cli_run_fills_one_slot_per_process(tmp_path, capsys, small_table):
+    # One manifest that holds two programs is two slots, as orchestrate places it.
+    manifest = tmp_path / "table.json"
+    save_processes(str(manifest), small_table)
+    out = tmp_path / "run.json"
+    assert main(["run", str(manifest), "--device", "heavyhex27", "--shots", "64", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert [r["program_name"] for r in results] == ["adder_n4", "wstate_n3"]
+    assert [r["region_qubits"] for r in results] == [sorted(p.executables[0].region.qubits) for p in small_table]
+    # --all-versions runs one program, so it refuses the two this manifest holds.
+    out.unlink()
+    capsys.readouterr()
+    argv = ["run", str(manifest), "--all-versions", "--device", "heavyhex27", "--shots", "64", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --all-versions runs the versions of one program; got 2 programs\n"
+    assert not out.exists()
+
+
+def test_cli_orchestrate_reads_artifacts_and_refuses_gates_leaving_the_region(tmp_path, capsys):
+    out_dir = tmp_path / "compiled"
+    assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
+    (artifact,) = out_dir.glob("wstate_n3.r1.*.exe.json")
+    out = tmp_path / "selection.json"
+    # An artifact is a process with one version.
+    assert main(["orchestrate", str(artifact), "--out", str(out)]) == 0
+    chosen = json.loads(out.read_text())["chosen"]
+    assert [(c["program_name"], c["index"]) for c in chosen] == [("wstate_n3", 1)]
+    assert chosen[0]["region_qubits"] == sorted(_rank1(artifact).region.qubits)
+    out.unlink()
+
+    manifest = out_dir / "wstate_n3.process.json"
+    payload = json.loads(manifest.read_text())
+    record = payload["processes"][0]["executables"][0]
+    a = record["layout"][0]
+    b = next(q for q in range(27) if q not in record["region"]["qubits"])
+    record["routed_gates"].append(["cx", [a, b], []])
+    manifest.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["orchestrate", str(manifest), "--out", str(out)]) == 1
+    message = f"malformed executable record: wstate_n3's routed cx on qubits {a}, {b} leaves its region"
+    assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+    assert not out.exists()

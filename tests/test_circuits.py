@@ -1,6 +1,8 @@
 """Parser, depth, and gate-list behavior."""
 
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -135,3 +137,37 @@ def test_depth_properties(gates):
 def test_parse_print_roundtrip(gates):
     c = Circuit("rt", 5, tuple(gates))
     assert parse_qasm(to_qasm(c)).gates == c.gates
+
+
+class _Finalized:
+    def __del__(self):
+        sum(range(10))  # Python code run by the collector, where threads can switch
+
+
+def test_parameters_parse_in_many_threads_at_once():
+    # Cyclic garbage with finalizers makes collections run Python code inside
+    # ast.parse; unserialized, CPython 3.11 then raises SystemError.
+    program = HEADER + "qreg q[1];\nry(-pi/4 + 2*1.5**2) q[0];"
+    errors = []
+
+    def parse_many():
+        try:
+            for _ in range(3000):
+                a, b = _Finalized(), _Finalized()
+                a.other, b.other = b, a
+                parse_qasm(program)
+        except Exception as exc:  # read on the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_many) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
