@@ -630,27 +630,29 @@ def test_crosstalk_map_refuses_non_integer_ids(tmp_path, content, message):
         load_crosstalk_map(path)
 
 
-@pytest.mark.parametrize("loader", [load_processes, load_crosstalk_map])
-def test_loaders_name_the_file_in_record_errors(tmp_path, ug27_m4, loader):
+@pytest.mark.parametrize("loader, form", [
+    pytest.param(load_processes, "manifest", id="load_processes"),
+    pytest.param(load_processes, "artifact", id="artifact"),
+    pytest.param(load_crosstalk_map, None, id="load_crosstalk_map"),
+])
+def test_loaders_name_the_file_in_record_errors(tmp_path, ug27_m4, loader, form):
     # Each file parses, but a record in it is refused after the read.
     if loader is load_crosstalk_map:
-        payloads, message = [{"flagged": [[0, 1, 0.5]]}], "crosstalk factor 0.5 on (0, 1) below 1"
+        payload, message = {"flagged": [[0, 1, 0.5]]}, "crosstalk factor 0.5 on (0, 1) below 1"
     else:
         process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
         record = executable_to_dict(process.executables[0])
         record["num_qubits"] += 1
         message = "malformed executable record: wstate_n3 has 4 qubits"
-        manifest = process_to_dict(process)
-        manifest["executables"][0] = record
-        # The record in a manifest, and alone in an artifact.
-        payloads = [
-            {"format": "qmux-processes-v1", "processes": [manifest]},
-            record | {"format": "qmux-executable-v1"},
-        ]
-    for payload in payloads:
-        path = _write(tmp_path / "bad.json", json.dumps(payload))
-        with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}"):
-            loader(path)
+        if form == "manifest":
+            payload = process_to_dict(process)
+            payload["executables"][0] = record
+            payload = {"format": "qmux-processes-v1", "processes": [payload]}
+        else:
+            payload = record | {"format": "qmux-executable-v1"}
+    path = _write(tmp_path / "bad.json", json.dumps(payload))
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}"):
+        loader(path)
 
 
 @pytest.mark.parametrize("content, message", BAD_FILES + BAD_MANIFESTS)
