@@ -16,6 +16,14 @@ qubit. A candidate is feasible iff its unit mask misses the first and its
 qubit mask misses the second, which holds exactly when no flagged link joins
 it to a placed qubit, so the selections are those of a check over claim sets
 and every flagged link.
+
+A placed region's partner mask is only read by the slots after it, so
+neither selector computes one for the last slot it fills. The exact search
+revisits a region at every branch that places it, so it keeps a dict, made
+afresh for each call, from region qubits to partner mask: each distinct
+region is priced once per call, also when several slots offer it, as when
+one program fills two slots. Nothing is cached on the map, the regions or
+the processes.
 """
 
 from __future__ import annotations
@@ -43,6 +51,9 @@ class Selection:
     evaluations: int
     elapsed_s: float
     timed_out: bool = False
+    # DFS nodes the exact search entered, root and complete leaves included;
+    # 0 for the selectors that do not search.
+    nodes: int = 0
 
     @property
     def index_sum(self) -> int:
@@ -98,6 +109,8 @@ def select_heuristic(
     ranks = [0] * len(processes)
     claimed = forbidden = 0
     evaluations = 0
+    # No later slot reads the last slot's veto, so it is not computed.
+    last = order[-1][0] if order else None
     for slot, proc in order:
         for rank, (units, qubits) in enumerate(proc.claim_masks, start=1):
             if not (units & claimed or qubits & forbidden):
@@ -110,7 +123,7 @@ def select_heuristic(
         executables[slot] = exe
         ranks[slot] = rank
         claimed |= units
-        if crosstalk is not None:
+        if crosstalk is not None and slot != last:
             forbidden |= crosstalk.partners_of(exe.region.qubits)
     elapsed = time.perf_counter() - start
     return Selection(tuple(executables), tuple(ranks), strategy, evaluations, elapsed)
@@ -138,14 +151,18 @@ def select_brute_force(
 
     best_vec: list[int] | None = None
     best_cost = 0
-    evaluations = 0
+    evaluations = nodes = 0
     timed_out = False
 
     stack_rank: list[int] = []
+    # Region qubits -> flagged-partner mask, filled at the region's first
+    # placement; it lives for this call only.
+    partner_masks: dict[frozenset[int], int] = {}
 
     def dfs(depth: int, partial: int, claimed: int, forbidden: int) -> bool:
         """Returns True when the search should unwind due to timeout."""
-        nonlocal best_vec, best_cost, evaluations, timed_out
+        nonlocal best_vec, best_cost, evaluations, nodes, timed_out
+        nodes += 1
         if time.perf_counter() > deadline:
             timed_out = True
             return True
@@ -166,8 +183,12 @@ def select_brute_force(
             if units & claimed or qubits & forbidden:
                 continue
             veto = forbidden
-            if crosstalk is not None:
-                veto |= crosstalk.partners_of(proc.executables[rank - 1].region.qubits)
+            if crosstalk is not None and rest:
+                region = proc.executables[rank - 1].region.qubits
+                mask = partner_masks.get(region)
+                if mask is None:
+                    mask = partner_masks[region] = crosstalk.partners_of(region)
+                veto |= mask
             stack_rank.append(rank)
             stop = dfs(depth + 1, partial + rank, claimed | units, veto)
             stack_rank.pop()
@@ -183,4 +204,4 @@ def select_brute_force(
             raise OrchestrationTimeout(f"no feasible assignment within {timeout_s} s")
         raise OrchestrationConflict()
     executables = tuple(p.executables[r - 1] for p, r in zip(processes, best_vec))
-    return Selection(executables, tuple(best_vec), "brute_force", evaluations, elapsed, timed_out=timed_out)
+    return Selection(executables, tuple(best_vec), "brute_force", evaluations, elapsed, timed_out, nodes)

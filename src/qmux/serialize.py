@@ -172,6 +172,8 @@ def load_processes(path: str) -> list[Process]:
         records = payload.get("processes")
         if not isinstance(records, list):
             raise QmuxError('"processes" is not a list')
+        if not records:
+            raise QmuxError(f"{_FORMAT} manifest holds no processes")
         return [process_from_dict(p, gates) for p in records]
 
 
@@ -186,6 +188,7 @@ def selection_to_dict(selection: Selection) -> dict:
         "strategy": selection.strategy,
         "index_sum": selection.index_sum,
         "evaluations": selection.evaluations,
+        "nodes": selection.nodes,
         "elapsed_s": selection.elapsed_s,
         "timed_out": selection.timed_out,
         "chosen": [

@@ -385,6 +385,7 @@ def test_serialization_roundtrips(ug27_m4, tmp_path):
     selection = select_heuristic([process])
     payload = selection_to_dict(selection)
     assert payload["index_sum"] == 1
+    assert payload["nodes"] == 0
     assert payload["chosen"][0]["program_name"] == "adder_n4"
     json.dumps(payload)
 
@@ -579,6 +580,11 @@ BAD_MANIFESTS = [
     ('{"format": "qmux-processes-v1"}', '"processes" is not a list'),
     ('{"format": "qmux-processes-v1", "processes": 3}', '"processes" is not a list'),
     ('{"format": "qmux-processes-v1", "processes": [[1]]}', "malformed process record"),
+    pytest.param(
+        '{"format": "qmux-processes-v1", "processes": []}',
+        "qmux-processes-v1 manifest holds no processes",
+        id="processes-empty",
+    ),
     pytest.param(
         _manifest_of(ONE_QUBIT_RECORD | {"region": {"unit_ids": [1.5], "qubits": [0]}}),
         "malformed executable record: region unit id must be an integer, got 1.5",

@@ -13,6 +13,7 @@ from qmux.circuits import Gate
 from qmux.compiler import Executable, Process, compile_multi_version
 from qmux.devices import CrosstalkMap
 from qmux.errors import CalibrationError, OrchestrationConflict, OrchestrationTimeout, PartitionError
+from qmux.harness import sample_crosstalk_map
 from qmux.orchestrator import select_brute_force, select_heuristic
 from qmux.partition import Region
 
@@ -79,6 +80,19 @@ def test_greedy_dead_end_brute_force_recovers():
     sel = select_brute_force([p1, p2])
     assert sel.index_sum == 3
     assert sel.indices == {"p1": 2, "p2": 1}
+
+
+def test_exact_search_counts_nodes():
+    # Root; p1 rank 1 on unit 0, where p2's only version conflicts; p1 rank 2,
+    # then p2 rank 1: a complete leaf. Four nodes, one evaluation.
+    dead_end = select_brute_force([fake_process("p1", [[0], [1]]), fake_process("p2", [[0]])])
+    assert (dead_end.nodes, dead_end.evaluations) == (4, 1)
+    # Root; p1 rank 1; p2 rank 1 conflicts, p2 rank 2 is a leaf of sum 3. p1
+    # rank 2 could at best tie, so the bound cuts it: three nodes.
+    cut = select_brute_force([fake_process("p1", [[0], [1]]), fake_process("p2", [[0], [2]])])
+    assert (cut.nodes, cut.evaluations) == (3, 1)
+    # Selectors that do not search report none.
+    assert select_heuristic([fake_process("p1", [[0], [1]])]).nodes == 0
 
 
 def test_disjoint_singletons_sum_to_m():
@@ -167,6 +181,8 @@ def test_timeout_returns_incumbent(monkeypatch):
     sel = select_brute_force(procs, timeout_s=11.5)
     assert sel.timed_out
     assert sel.index_sum == 12
+    # The 11 nodes of the descent, and the one that found the deadline passed.
+    assert (sel.nodes, sel.evaluations) == (12, 1)
 
 
 def _random_instance(rng):
@@ -243,3 +259,47 @@ def test_one_program_in_two_slots_is_placed_twice(select, ug27_m4):
     for view in ("chosen", "indices"):
         with pytest.raises(ValueError, match="more than one slot"):
             getattr(sel, view)
+
+
+def _count_partner_calls(monkeypatch):
+    """The region qubit sets that CrosstalkMap.partners_of is called on, in call order."""
+    calls = []
+    partners_of = CrosstalkMap.partners_of
+
+    def counted(self, qubits):
+        calls.append(frozenset(qubits))
+        return partners_of(self, qubits)
+
+    monkeypatch.setattr(CrosstalkMap, "partners_of", counted)
+    return calls
+
+
+def test_partner_masks_priced_once_per_region_and_not_for_the_last_slot(monkeypatch, ug27_m4):
+    # deutsch_n2 fills two slots, so the exact search offers its regions twice.
+    names = ("deutsch_n2", "grover_n2", "wstate_n3", "deutsch_n2")
+    table = {name: compile_multi_version(load_benchmark(name), ug27_m4) for name in dict.fromkeys(names)}
+    request = [table[name] for name in names]
+    offered = {exe.region.qubits for proc in request[:-1] for exe in proc.executables}
+    calls = _count_partner_calls(monkeypatch)
+    greedy_placed = exact_calls = 0
+    for seed in range(4):
+        xtalk = sample_crosstalk_map(ug27_m4, seed=seed)
+        calls.clear()
+        try:
+            select_heuristic(request, crosstalk=xtalk)
+        except OrchestrationConflict:
+            pass
+        else:
+            greedy_placed += 1
+            assert len(calls) == len(request) - 1
+        calls.clear()
+        select_brute_force(request, crosstalk=xtalk)
+        # Once per distinct region of the slots before the last, at most.
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= offered
+        exact_calls += len(calls)
+        calls.clear()
+        for select in (select_heuristic, select_brute_force):
+            assert select(request[:1], crosstalk=xtalk).ranks == (1,)
+        assert calls == []
+    assert greedy_placed and exact_calls
