@@ -67,9 +67,9 @@ class Process:
             raise CompileError(f"process {self.program_name!r} has no executables")
 
     @cached_property
-    def claim_masks(self) -> tuple[tuple[int, int], ...]:
-        """(unit mask, qubit mask) of each version's region, in rank order."""
-        return tuple((e.region.unit_mask, e.region.qubit_mask) for e in self.executables)
+    def claim_masks(self) -> tuple[int, ...]:
+        """The qubit mask of each version's region, in rank order."""
+        return tuple(e.region.qubit_mask for e in self.executables)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,16 @@ class CompileError(QmuxError):
 
 
 class OrchestrationConflict(QmuxError):
-    """No conflict-free executable exists for some process (or combination)."""
+    """No conflict-free executable exists for some process (or combination).
 
-    def __init__(self, program_name: str | None = None):
+    `evaluations` and `nodes` count the selector's work before it gave up,
+    as on a returned Selection.
+    """
+
+    def __init__(self, program_name: str | None = None, *, evaluations: int = 0, nodes: int = 0):
         self.program_name = program_name
+        self.evaluations = evaluations
+        self.nodes = nodes
         if program_name is None:
             super().__init__("no conflict-free combination exists")
         else:
@@ -52,7 +58,15 @@ class OrchestrationConflict(QmuxError):
 
 
 class OrchestrationTimeout(QmuxError):
-    """Exhaustive selection exceeded its time budget."""
+    """Exhaustive selection exceeded its time budget before finding any assignment.
+
+    `evaluations` and `nodes` count the search's work, as on a Selection.
+    """
+
+    def __init__(self, message: str, *, evaluations: int = 0, nodes: int = 0):
+        self.evaluations = evaluations
+        self.nodes = nodes
+        super().__init__(message)
 
 
 class SimulationError(QmuxError):

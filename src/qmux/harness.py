@@ -19,15 +19,16 @@ Execution modes:
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import random
+import statistics
 import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .benchmarks import load_benchmark
 from .compiler import Executable, Process, compile_multi_version
@@ -225,15 +226,15 @@ def _select_vanilla(processes: list[Process], seed: int) -> Selection:
         evaluations += len(proc.executables)
         feasible = [
             (rank, exe)
-            for rank, ((units, _), exe) in enumerate(zip(proc.claim_masks, proc.executables), start=1)
-            if not units & claimed
+            for rank, (qubits, exe) in enumerate(zip(proc.claim_masks, proc.executables), start=1)
+            if not qubits & claimed
         ]
         if not feasible:
-            raise OrchestrationConflict(proc.program_name)
+            raise OrchestrationConflict(proc.program_name, evaluations=evaluations)
         rank, exe = rng.choice(feasible)
         executables.append(exe)
         ranks.append(rank)
-        claimed |= exe.region.unit_mask
+        claimed |= exe.region.qubit_mask
     return Selection(tuple(executables), tuple(ranks), "vanilla", evaluations, time.perf_counter() - start)
 
 
@@ -410,6 +411,19 @@ class CorrelationReport:
     mean: float
 
 
+def _average_ranks(values: list[float]) -> list[float]:
+    """1-based ranks of `values`; tied values share the mean of their positions."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    for _, tied in itertools.groupby(order, key=values.__getitem__):
+        tied = list(tied)
+        for i in tied:
+            ranks[i] = start + (len(tied) + 1) / 2
+        start += len(tied)
+    return ranks
+
+
 def cost_fidelity_correlation(
     device: DeviceGraph,
     unit_size: int,
@@ -417,7 +431,8 @@ def cost_fidelity_correlation(
     shots: int = DEFAULT_SHOTS,
     seed: int = 0,
 ) -> CorrelationReport:
-    """Spearman correlation between predicted and observed version rankings.
+    """Spearman correlation between predicted and observed version rankings:
+    the Pearson correlation of their ranks, ties given their average rank.
 
     For each program with at least 3 versions, every executable is simulated
     alone; predicted rank is the position in the cost-ascending list, actual
@@ -445,11 +460,12 @@ def cost_fidelity_correlation(
             fids.append(fidelity(observed, ideal))
         if not fids:
             continue
-        predicted = np.arange(1, len(fids) + 1)
-        actual = stats.rankdata([-f for f in fids], method="average")
-        rho = stats.spearmanr(predicted, actual).statistic
-        if not math.isnan(rho):
-            per_program[name] = float(rho)
+        try:
+            # Rank 1 is the cheapest version and the most faithful one.
+            rho = statistics.correlation(range(1, len(fids) + 1), _average_ranks([-f for f in fids]))
+        except statistics.StatisticsError:
+            continue  # equal fidelities: no ordering to compare
+        per_program[name] = rho
     if not per_program:
         raise QmuxError("no program produced 3+ comparable versions")
     mean = sum(per_program.values()) / len(per_program)

@@ -1,21 +1,27 @@
-"""Co-run selection: pick one executable per request slot so no two share units.
+"""Co-run selection: pick one executable per request slot so no two share qubits.
 
-Feasibility is unit-disjointness, plus an optional crosstalk veto: a
+Feasibility is qubit-disjointness, plus an optional crosstalk veto: a
 candidate is skipped when a flagged link connects one of its qubits to a
 qubit some already-selected executable claims. The objective is the sum of
 the chosen versions' ranks in their cost-ascending process lists (rank 1 is
 each program's cheapest version), so lower is better and the all-ones vector
 is the unconstrained ideal.
 
-Claims are checked on integer bitmasks. Each region's unit and qubit masks
-are computed once and cached on the region (`Process.claim_masks` lists them
-per version), so a stored table pays for them once across all requests. The
-selectors carry two ints: the units claimed so far, and the qubits forbidden
-so far, the OR of the crosstalk map's flagged-partner masks of every placed
-qubit. A candidate is feasible iff its unit mask misses the first and its
-qubit mask misses the second, which holds exactly when no flagged link joins
-it to a placed qubit, so the selections are those of a check over claim sets
-and every flagged link.
+Claims are qubits, not unit ids: a unit id names a different qubit set in
+each partition, so tables compiled at two unit sizes would otherwise share
+qubits unseen. Within one partition units cover every qubit once and a
+region is the union of its units, so there qubit-disjoint and unit-disjoint
+are the same.
+
+Claims are checked on integer bitmasks. Each region's qubit mask is
+computed once and cached on the region (`Process.claim_masks` lists them per
+version), so a stored table pays for them once across all requests. The
+selectors carry one int: the qubits blocked so far, the OR of every placed
+region's qubit mask and of the crosstalk map's flagged-partner masks of every
+placed qubit. A candidate is feasible iff its qubit mask misses it, which
+holds exactly when it shares no qubit with a placed region and no flagged
+link joins it to a placed qubit, so the selections are those of a check over
+claim sets and every flagged link.
 
 A placed region's partner mask is only read by the slots after it, so
 neither selector computes one for the last slot it fills. The exact search
@@ -107,24 +113,24 @@ def select_heuristic(
     order = _ordered(processes, strategy, seed)
     executables = [None] * len(processes)
     ranks = [0] * len(processes)
-    claimed = forbidden = 0
+    blocked = 0
     evaluations = 0
     # No later slot reads the last slot's veto, so it is not computed.
     last = order[-1][0] if order else None
     for slot, proc in order:
-        for rank, (units, qubits) in enumerate(proc.claim_masks, start=1):
-            if not (units & claimed or qubits & forbidden):
+        for rank, qubits in enumerate(proc.claim_masks, start=1):
+            if not qubits & blocked:
                 break
         else:
-            raise OrchestrationConflict(proc.program_name)
+            raise OrchestrationConflict(proc.program_name, evaluations=evaluations + len(proc.claim_masks))
         # Versions are examined in rank order up to the first feasible one.
         evaluations += rank
         exe = proc.executables[rank - 1]
         executables[slot] = exe
         ranks[slot] = rank
-        claimed |= units
+        blocked |= qubits
         if crosstalk is not None and slot != last:
-            forbidden |= crosstalk.partners_of(exe.region.qubits)
+            blocked |= crosstalk.partners_of(exe.region.qubits)
     elapsed = time.perf_counter() - start
     return Selection(tuple(executables), tuple(ranks), strategy, evaluations, elapsed)
 
@@ -141,7 +147,10 @@ def select_brute_force(
     lexicographically smallest optimum. A branch is cut once its partial sum
     plus rank 1 for every remaining slot cannot beat the incumbent. On
     timeout the incumbent is returned with timed_out set if one exists,
-    otherwise OrchestrationTimeout is raised.
+    otherwise OrchestrationTimeout is raised. A refused search, by
+    OrchestrationTimeout or OrchestrationConflict, reports its `evaluations`
+    (0, since any complete assignment is an incumbent) and `nodes` on the
+    exception.
     """
     start = time.perf_counter()
     deadline = start + timeout_s
@@ -155,11 +164,11 @@ def select_brute_force(
     timed_out = False
 
     stack_rank: list[int] = []
-    # Region qubits -> flagged-partner mask, filled at the region's first
+    # Region qubit mask -> flagged-partner mask, filled at the region's first
     # placement; it lives for this call only.
-    partner_masks: dict[frozenset[int], int] = {}
+    partner_masks: dict[int, int] = {}
 
-    def dfs(depth: int, partial: int, claimed: int, forbidden: int) -> bool:
+    def dfs(depth: int, partial: int, blocked: int) -> bool:
         """Returns True when the search should unwind due to timeout."""
         nonlocal best_vec, best_cost, evaluations, nodes, timed_out
         nodes += 1
@@ -177,31 +186,32 @@ def select_brute_force(
         proc = processes[depth]
         # The cheapest completion gives every later slot its rank 1.
         rest = n - depth - 1
-        for rank, (units, qubits) in enumerate(proc.claim_masks, start=1):
+        for rank, qubits in enumerate(proc.claim_masks, start=1):
             if best_vec is not None and partial + rank + rest >= best_cost:
                 break
-            if units & claimed or qubits & forbidden:
+            if qubits & blocked:
                 continue
-            veto = forbidden
+            veto = blocked | qubits
             if crosstalk is not None and rest:
-                region = proc.executables[rank - 1].region.qubits
-                mask = partner_masks.get(region)
+                mask = partner_masks.get(qubits)
                 if mask is None:
-                    mask = partner_masks[region] = crosstalk.partners_of(region)
+                    mask = partner_masks[qubits] = crosstalk.partners_of(proc.executables[rank - 1].region.qubits)
                 veto |= mask
             stack_rank.append(rank)
-            stop = dfs(depth + 1, partial + rank, claimed | units, veto)
+            stop = dfs(depth + 1, partial + rank, veto)
             stack_rank.pop()
             if stop:
                 return True
         return False
 
-    dfs(0, 0, 0, 0)
+    dfs(0, 0, 0)
     elapsed = time.perf_counter() - start
 
     if best_vec is None:
         if timed_out:
-            raise OrchestrationTimeout(f"no feasible assignment within {timeout_s} s")
-        raise OrchestrationConflict()
+            raise OrchestrationTimeout(
+                f"no feasible assignment within {timeout_s} s", evaluations=evaluations, nodes=nodes
+            )
+        raise OrchestrationConflict(evaluations=evaluations, nodes=nodes)
     executables = tuple(p.executables[r - 1] for p, r in zip(processes, best_vec))
     return Selection(executables, tuple(best_vec), "brute_force", evaluations, elapsed, timed_out, nodes)

@@ -54,27 +54,17 @@ class Region:
     def __post_init__(self):
         if not self.unit_ids or not self.qubits:
             raise PartitionError("region must contain at least one unit and one qubit")
-        # Ids are bit positions in the claim masks.
+        # Qubit ids are bit positions in the claim masks.
         if min(self.unit_ids) < 0 or min(self.qubits) < 0:
             raise PartitionError("region unit and qubit ids must be non-negative")
 
     @cached_property
-    def unit_mask(self) -> int:
-        """Bit u set for each unit id u: two regions share a unit iff their masks meet."""
-        return _id_mask(self.unit_ids)
-
-    @cached_property
     def qubit_mask(self) -> int:
-        """Bit q set for each physical qubit q of the region."""
-        return _id_mask(self.qubits)
-
-
-def _id_mask(ids) -> int:
-    """Integer with bit i set for each non-negative id i."""
-    mask = 0
-    for i in ids:
-        mask |= 1 << i
-    return mask
+        """Bit q set for each physical qubit q: two regions share a qubit iff their masks meet."""
+        mask = 0
+        for q in self.qubits:
+            mask |= 1 << q
+        return mask
 
 
 def _components(nodes: set[int], adj) -> list[list[int]]:

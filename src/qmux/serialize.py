@@ -2,6 +2,12 @@
 
 Lets compilation run once offline and selection consume the stored processes
 later, which is the whole point of splitting the two phases.
+
+A manifest (`qmux-processes-v2`) or an artifact (`qmux-executable-v2`) holds
+one top-level "gates" table of distinct [name, qubits, params] records, and
+each executable's "routed_gates" lists integer positions in it. A compiled
+table repeats few distinct gates many times, so the file is smaller and the
+loader checks and builds each distinct gate once.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from .errors import QmuxError, located
 from .orchestrator import Selection
 from .partition import Region
 
-_FORMAT = "qmux-processes-v1"
-_EXE_FORMAT = "qmux-executable-v1"
+_FORMAT = "qmux-processes-v2"
+_EXE_FORMAT = "qmux-executable-v2"
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
@@ -37,27 +43,59 @@ def _numbers(values, what: str) -> tuple:
     return values
 
 
-def _gates(records, built: dict, region: frozenset[int], program_name: str) -> tuple[Gate, ...]:
-    """Gates for routed-gate records; `built` maps each distinct record to its one Gate.
+def _gate_table(records) -> tuple[list[Gate], list[int]]:
+    """The Gate and the qubit mask of each [name, operands, params] record of
+    a file's gate table.
 
-    Operands, params and the region are checked on every record, before the
-    lookup: 17.0 == 17 and true == 1, so a float operand or a bool param
-    would otherwise find the gate of an equal record, and a gate built for
-    one executable's region may lie outside the next one's.
+    Each record is checked here, once: a string name, operands that are
+    non-negative JSON integers, params that are JSON numbers, then Gate's own
+    checks. No record is looked up by value, so 17.0 == 17 and true == 1
+    cannot let a bad record pass as an equal good one.
     """
-    out = []
-    for name, qubits, params in records:
-        key = (name, _ints(qubits, "gate operand"), _numbers(params, "gate param"))
-        if not region.issuperset(key[1]):
-            raise QmuxError(
-                f"malformed executable record: {program_name}'s routed {name} on qubits "
-                f"{', '.join(map(str, key[1]))} leaves its region"
-            )
-        gate = built.get(key)
-        if gate is None:
-            gate = built[key] = Gate(*key)
-        out.append(gate)
-    return tuple(out)
+    if not isinstance(records, list):
+        raise QmuxError('"gates" is not a list')
+    gates, masks = [], []
+    try:
+        for name, qubits, params in records:
+            if type(name) is not str:
+                raise TypeError(f"gate name must be a string, got {name!r}")
+            qubits = tuple(qubits)
+            mask = 0
+            for q in qubits:
+                if type(q) is not int or q < 0:
+                    raise TypeError(f"gate operand must be a non-negative integer, got {q!r}")
+                mask |= 1 << q
+            gates.append(Gate(name, qubits, _numbers(params, "gate param")))
+            masks.append(mask)
+    except (TypeError, ValueError) as exc:
+        raise QmuxError(f"malformed gate record: {exc}") from exc
+    return gates, masks
+
+
+def _routed_gates(ids, gates: list[Gate], masks: list[int], region: Region, program_name: str):
+    """The gates at `ids` in the file's gate table, refused unless every id is
+    a JSON integer inside the table and every gate stays inside `region`.
+
+    The region is checked once, on the OR of the masks of the distinct ids.
+    """
+    if not set(map(type, ids)) <= {int}:
+        bad = next(i for i in ids if type(i) is not int)
+        raise TypeError(f"routed gate index must be an integer, got {bad!r}")
+    distinct = set(ids)
+    if distinct and (min(distinct) < 0 or max(distinct) >= len(gates)):
+        bad = next(i for i in ids if not 0 <= i < len(gates))
+        raise ValueError(f"routed gate index {bad} is outside the gate table of {len(gates)} gates")
+    used = 0
+    for i in distinct:
+        used |= masks[i]
+    outside = ~region.qubit_mask
+    if used & outside:
+        gate = gates[next(i for i in ids if masks[i] & outside)]
+        raise QmuxError(
+            f"malformed executable record: {program_name}'s routed {gate.name} on qubits "
+            f"{', '.join(map(str, gate.qubits))} leaves its region"
+        )
+    return tuple(map(gates.__getitem__, ids))
 
 
 def _write_compact(path: str, payload: dict) -> None:
@@ -68,7 +106,10 @@ def _write_compact(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def executable_to_dict(exe: Executable) -> dict:
+def _executable_to_dict(exe: Executable, index: dict) -> dict:
+    """The record of `exe`; its routed gates are positions in the file's gate
+    table, and `index` maps each (name, qubits, params) met so far to its one."""
+    add = index.setdefault
     return {
         "program_name": exe.program_name,
         "num_qubits": exe.num_qubits,
@@ -78,8 +119,7 @@ def executable_to_dict(exe: Executable) -> dict:
         },
         "layout": list(exe.layout),
         "final_layout": list(exe.final_layout),
-        # The encoder writes tuples as arrays, so no list is built per gate.
-        "routed_gates": [(g.name, g.qubits, g.params) for g in exe.routed_gates],
+        "routed_gates": [add((g.name, g.qubits, g.params), len(index)) for g in exe.routed_gates],
         "swap_count": exe.swap_count,
         "d_in": exe.d_in,
         "d_out": exe.d_out,
@@ -87,13 +127,13 @@ def executable_to_dict(exe: Executable) -> dict:
     }
 
 
-def executable_from_dict(data: dict, gates: dict) -> Executable:
+def _executable_from_dict(data: dict, gates: list[Gate], masks: list[int]) -> Executable:
     """Rebuild an executable, refusing what its record contradicts about itself.
 
-    This is the one check of a record: integer ids, numeric gate params, and
-    layouts and routed gates that fit its size and region. `gates` holds the
-    gates already read from this file, by record; every record of one file
-    shares it, so each distinct gate is built once.
+    This is the one check of a record: integer ids, routed-gate indices
+    inside the file's gate table, and layouts and routed gates that fit its
+    size and region. `gates` and `masks` are the file's gate table, from
+    `_gate_table`; every record of one file shares its Gate objects.
     """
     try:
         region = Region(
@@ -107,7 +147,7 @@ def executable_from_dict(data: dict, gates: dict) -> Executable:
             region=region,
             layout=_ints(data["layout"], "layout entry"),
             final_layout=_ints(data["final_layout"], "final layout entry"),
-            routed_gates=_gates(data["routed_gates"], gates, region.qubits, program_name),
+            routed_gates=_routed_gates(data["routed_gates"], gates, masks, region, program_name),
             swap_count=data["swap_count"],
             d_in=data["d_in"],
             d_out=data["d_out"],
@@ -129,58 +169,61 @@ def executable_from_dict(data: dict, gates: dict) -> Executable:
         raise QmuxError(f"malformed executable record: {exc}") from exc
 
 
-def process_to_dict(process: Process) -> dict:
-    return {
-        "program_name": process.program_name,
-        "num_qubits": process.num_qubits,
-        "executables": [executable_to_dict(e) for e in process.executables],
-    }
-
-
-def process_from_dict(data: dict, gates: dict) -> Process:
-    """Rebuild a process; `gates` is shared as in `executable_from_dict`."""
+def _process_from_dict(data: dict, gates: list[Gate], masks: list[int]) -> Process:
     try:
         return Process(
             program_name=data["program_name"],
             num_qubits=_json_int(data["num_qubits"], "num_qubits"),
-            executables=tuple(executable_from_dict(e, gates) for e in data["executables"]),
+            executables=tuple(_executable_from_dict(e, gates, masks) for e in data["executables"]),
         )
     except (KeyError, TypeError) as exc:
         raise QmuxError(f"malformed process record: {exc}") from exc
 
 
 def save_processes(path: str, processes: list[Process]) -> None:
-    payload = {
-        "format": _FORMAT,
-        "processes": [process_to_dict(p) for p in processes],
-    }
-    _write_compact(path, payload)
+    """Write a qmux-processes-v2 manifest: one gate table for the whole file,
+    which every executable's routed gates index."""
+    index: dict = {}
+    records = [
+        {
+            "program_name": p.program_name,
+            "num_qubits": p.num_qubits,
+            "executables": [_executable_to_dict(e, index) for e in p.executables],
+        }
+        for p in processes
+    ]
+    # The encoder writes the index's key tuples as [name, qubits, params] arrays.
+    _write_compact(path, {"format": _FORMAT, "gates": list(index), "processes": records})
+
+
+def save_executable(path: str, exe: Executable) -> None:
+    """Write a qmux-executable-v2 artifact: one record and its own gate table."""
+    index: dict = {}
+    record = _executable_to_dict(exe, index)
+    _write_compact(path, {"format": _EXE_FORMAT, "gates": list(index), **record})
 
 
 def load_processes(path: str) -> list[Process]:
-    """The processes of a qmux-processes-v1 manifest, or of a qmux-executable-v1
-    artifact: one process that holds the artifact's one executable."""
+    """The processes of a qmux-processes-v2 manifest, or of a qmux-executable-v2
+    artifact: one process that holds the artifact's one executable.
+
+    Each gate record is checked and built once per file, so a file yields
+    one Gate object per distinct gate."""
     payload = read_json_object(path)
     kind = payload.get("format")
-    gates: dict = {}
     with located(path):
-        if kind == _EXE_FORMAT:
-            exe = executable_from_dict(payload, gates)
-            return [Process(exe.program_name, exe.num_qubits, (exe,))]
-        if kind != _FORMAT:
+        if kind != _FORMAT and kind != _EXE_FORMAT:
             raise QmuxError(f"not a {_EXE_FORMAT} or {_FORMAT} file")
+        gates, masks = _gate_table(payload.get("gates"))
+        if kind == _EXE_FORMAT:
+            exe = _executable_from_dict(payload, gates, masks)
+            return [Process(exe.program_name, exe.num_qubits, (exe,))]
         records = payload.get("processes")
         if not isinstance(records, list):
             raise QmuxError('"processes" is not a list')
         if not records:
             raise QmuxError(f"{_FORMAT} manifest holds no processes")
-        return [process_from_dict(p, gates) for p in records]
-
-
-def save_executable(path: str, exe: Executable) -> None:
-    payload = executable_to_dict(exe)
-    payload["format"] = _EXE_FORMAT
-    _write_compact(path, payload)
+        return [_process_from_dict(p, gates, masks) for p in records]
 
 
 def selection_to_dict(selection: Selection) -> dict:

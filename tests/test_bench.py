@@ -19,6 +19,7 @@ from qmux.harness import (
     ExperimentReport,
     FidelityExperiment,
     GroupRecord,
+    _average_ranks,
     crosstalk_violations,
     generate_groups,
     nested_prefix_groups,
@@ -29,12 +30,8 @@ from qmux.harness import (
 from qmux.orchestrator import select_heuristic
 from qmux.partition import generate_compute_units
 from qmux.serialize import (
-    executable_from_dict,
-    executable_to_dict,
     load_crosstalk_map,
     load_processes,
-    process_from_dict,
-    process_to_dict,
     save_crosstalk_map,
     save_executable,
     save_processes,
@@ -363,12 +360,14 @@ def test_unknown_strategy_rejected_in_every_mode(mode, heavyhex27):
         FidelityExperiment(heavyhex27, 4, mode=mode, strategy="bogus")
 
 
+def test_spearman_ties_share_their_average_rank():
+    assert _average_ranks([0.3, 0.1, 0.3, 0.2]) == [3.5, 1.0, 3.5, 2.0]
+    assert _average_ranks([]) == []
+
+
 def test_serialization_roundtrips(ug27_m4, tmp_path):
     process = compile_multi_version(load_benchmark("adder_n4"), ug27_m4)
     exe = process.executables[0]
-    assert executable_from_dict(executable_to_dict(exe), {}) == exe
-    assert process_from_dict(process_to_dict(process), {}) == process
-
     manifest = tmp_path / "adder_n4.process.json"
     save_processes(str(manifest), [process])
     assert load_processes(str(manifest)) == [process]
@@ -412,14 +411,12 @@ def small_table(ug27_m4):
 def test_loaded_manifest_holds_one_object_per_distinct_record(small_table, tmp_path):
     manifest = tmp_path / "table.json"
     save_processes(str(manifest), small_table)
-    records = [
-        g
-        for p in json.loads(manifest.read_text())["processes"]
-        for e in p["executables"]
-        for g in e["routed_gates"]
-    ]
-    distinct = len({(n, tuple(q), tuple(p)) for n, q, p in records})
-    assert distinct < len(records)
+    payload = json.loads(manifest.read_text())
+    routed = [i for p in payload["processes"] for e in p["executables"] for i in e["routed_gates"]]
+    # The gate table holds each distinct gate once, and every entry is routed.
+    distinct = len(payload["gates"])
+    assert len({(n, tuple(q), tuple(p)) for n, q, p in payload["gates"]}) == distinct
+    assert len(set(routed)) == distinct < len(routed)
 
     loaded = load_processes(str(manifest))
     assert loaded == small_table
@@ -427,68 +424,101 @@ def test_loaded_manifest_holds_one_object_per_distinct_record(small_table, tmp_p
     assert _distinct(g for p in loaded for e in p.executables for g in e.routed_gates) == (distinct, distinct)
 
 
-def test_saved_table_is_the_list_form_v1_text(small_table, tmp_path):
+def test_saved_table_is_the_gate_table_v2_text(small_table, tmp_path):
+    gates = []  # distinct [name, qubits, params] records, in first-routed order
+
+    def record(e):
+        ids = []
+        for g in e.routed_gates:
+            entry = [g.name, list(g.qubits), list(g.params)]
+            if entry not in gates:
+                gates.append(entry)
+            ids.append(gates.index(entry))
+        return {
+            "program_name": e.program_name,
+            "num_qubits": e.num_qubits,
+            "region": {"unit_ids": sorted(e.region.unit_ids), "qubits": sorted(e.region.qubits)},
+            "layout": list(e.layout),
+            "final_layout": list(e.final_layout),
+            "routed_gates": ids,
+            "swap_count": e.swap_count,
+            "d_in": e.d_in,
+            "d_out": e.d_out,
+            "region_utility": e.region_utility,
+        }
+
+    processes = [
+        {"program_name": p.program_name, "num_qubits": p.num_qubits, "executables": [record(e) for e in p.executables]}
+        for p in small_table
+    ]
+    payload = {"format": "qmux-processes-v2", "gates": gates, "processes": processes}
     manifest = tmp_path / "table.json"
     save_processes(str(manifest), small_table)
-    payload = {
-        "format": "qmux-processes-v1",
-        "processes": [
-            {
-                "program_name": p.program_name,
-                "num_qubits": p.num_qubits,
-                "executables": [
-                    {
-                        "program_name": e.program_name,
-                        "num_qubits": e.num_qubits,
-                        "region": {"unit_ids": sorted(e.region.unit_ids), "qubits": sorted(e.region.qubits)},
-                        "layout": list(e.layout),
-                        "final_layout": list(e.final_layout),
-                        "routed_gates": [[g.name, list(g.qubits), list(g.params)] for g in e.routed_gates],
-                        "swap_count": e.swap_count,
-                        "d_in": e.d_in,
-                        "d_out": e.d_out,
-                        "region_utility": e.region_utility,
-                    }
-                    for e in p.executables
-                ],
-            }
-            for p in small_table
-        ],
-    }
     assert manifest.read_text() == json.dumps(payload, separators=(",", ":")) + "\n"
+
+    # An artifact holds its one record and a gate table of its own.
+    exe = small_table[0].executables[-1]
+    gates = []
+    exe_record = record(exe)
+    payload = {"format": "qmux-executable-v2", "gates": gates, **exe_record}
+    artifact = tmp_path / "one.exe.json"
+    save_executable(str(artifact), exe)
+    assert artifact.read_text() == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def _file_with(tmp_path, process, edit, fmt="manifest"):
     """A one-process manifest, or with fmt="artifact" its last executable's
-    artifact, whose last executable record went through `edit`."""
+    artifact, edited by `edit(gate_table, last_executable_record)`."""
+    path = tmp_path / "bad.json"
     if fmt == "artifact":
-        payload = executable_to_dict(process.executables[-1]) | {"format": "qmux-executable-v1"}
+        save_executable(str(path), process.executables[-1])
+        payload = json.loads(path.read_text())
+        edit(payload["gates"], payload)
     else:
-        payload = {"format": "qmux-processes-v1", "processes": [process_to_dict(process)]}
-    payload = json.loads(json.dumps(payload))  # lists where the saver writes tuples, as a reader sees it
-    edit(payload if fmt == "artifact" else payload["processes"][0]["executables"][-1])
-    return _write(tmp_path / "bad.json", json.dumps(payload))
+        save_processes(str(path), [process])
+        payload = json.loads(path.read_text())
+        edit(payload["gates"], payload["processes"][0]["executables"][-1])
+    return _write(path, json.dumps(payload))
 
 
-def _float_operand_after_equal_int(record):
-    # 17.0 == 17: the copy must not pass as the gate read just before it.
-    name, qubits, params = record["routed_gates"][-1]
-    record["routed_gates"].append([name, [float(q) for q in qubits], params])
+def _route_new(table, record, entry):
+    """Route `entry`, a [name, qubits, params] record, last in `record`, at a new gate table entry."""
+    table.append(entry)
+    record["routed_gates"].append(len(table) - 1)
 
 
+def _float_operand_after_equal_int(table, record):
+    # 17.0 == 17: the copy must not pass as the gate of its equal record.
+    name, qubits, params = table[record["routed_gates"][-1]]
+    _route_new(table, record, [name, [float(q) for q in qubits], params])
+
+
+# (edit, the start of the error message after the path)
 NON_INTEGER_RECORDS = {
-    "unit-id": (lambda r: r["region"].update(unit_ids=[1.5]), "region unit id must be an integer, got 1.5"),
+    "unit-id": (
+        lambda _, r: r["region"].update(unit_ids=[1.5]),
+        "malformed executable record: region unit id must be an integer, got 1.5",
+    ),
     "region-qubit": (
-        lambda r: r["region"]["qubits"].__setitem__(0, float(r["region"]["qubits"][0])),
-        "region qubit must be an integer, got",
+        lambda _, r: r["region"]["qubits"].__setitem__(0, float(r["region"]["qubits"][0])),
+        "malformed executable record: region qubit must be an integer, got",
     ),
-    "layout": (lambda r: r["layout"].__setitem__(0, float(r["layout"][0])), "layout entry must be an integer"),
+    "layout": (
+        lambda _, r: r["layout"].__setitem__(0, float(r["layout"][0])),
+        "malformed executable record: layout entry must be an integer",
+    ),
     "final-layout": (
-        lambda r: r["final_layout"].__setitem__(0, True),
-        "final layout entry must be an integer, got True",
+        lambda _, r: r["final_layout"].__setitem__(0, True),
+        "malformed executable record: final layout entry must be an integer, got True",
     ),
-    "gate-operand": (_float_operand_after_equal_int, "gate operand must be an integer, got"),
-    "num-qubits": (lambda r: r.update(num_qubits=3.0), "num_qubits must be an integer, got 3.0"),
+    "gate-operand": (
+        _float_operand_after_equal_int,
+        "malformed gate record: gate operand must be a non-negative integer, got",
+    ),
+    "num-qubits": (
+        lambda _, r: r.update(num_qubits=3.0),
+        "malformed executable record: num_qubits must be an integer, got 3.0",
+    ),
 }
 
 
@@ -497,23 +527,24 @@ NON_INTEGER_RECORDS = {
 def test_loaders_refuse_non_integer_ids(tmp_path, ug27_m4, fmt, edit, message):
     process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
     path = _file_with(tmp_path, process, edit, fmt)
-    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: malformed executable record: {re.escape(message)}"):
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}"):
         load_processes(path)
 
 
-def _param_gate(record):
-    return next(g for g in record["routed_gates"] if g[2])
+def _param_gate(table):
+    return next(g for g in table if g[2])
 
 
-def _bool_param_after_equal_int(record):
-    # true == 1: the bool record must not pass as the gate read just before it.
-    name, qubits, _ = _param_gate(record)
-    record["routed_gates"] += [[name, qubits, [1]], [name, qubits, [True]]]
+def _bool_param_after_equal_int(table, record):
+    # true == 1: the bool record must not pass as the gate of its equal record.
+    name, qubits, _ = _param_gate(table)
+    _route_new(table, record, [name, qubits, [1]])
+    _route_new(table, record, [name, qubits, [True]])
 
 
 NON_NUMERIC_PARAMS = {
-    "string": (lambda r: _param_gate(r).__setitem__(2, ["abc"]), "gate param must be a number, got 'abc'"),
-    "null": (lambda r: _param_gate(r).__setitem__(2, [None]), "gate param must be a number, got None"),
+    "string": (lambda t, _: _param_gate(t).__setitem__(2, ["abc"]), "gate param must be a number, got 'abc'"),
+    "null": (lambda t, _: _param_gate(t).__setitem__(2, [None]), "gate param must be a number, got None"),
     "bool": (_bool_param_after_equal_int, "gate param must be a number, got True"),
 }
 
@@ -523,8 +554,58 @@ NON_NUMERIC_PARAMS = {
 def test_loader_refuses_non_numeric_gate_params(tmp_path, ug27_m4, fmt, edit, message):
     process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
     path = _file_with(tmp_path, process, edit, fmt)
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: malformed gate record: {re.escape(message)}$"):
+        load_processes(path)
+
+
+# (gate table entry, the error message after "malformed gate record: ")
+BAD_GATE_RECORDS = {
+    "float-operand": (["cx", [1.0, 2], []], "gate operand must be a non-negative integer, got 1.0"),
+    "negative-operand": (["x", [-1], []], "gate operand must be a non-negative integer, got -1"),
+    "bool-param": (["ry", [0], [True]], "gate param must be a number, got True"),
+    "name": ([7, [0], []], "gate name must be a string, got 7"),
+    "short": (["x", [0]], "not enough values to unpack (expected 3, got 2)"),
+}
+
+
+@pytest.mark.parametrize("entry, message", BAD_GATE_RECORDS.values(), ids=BAD_GATE_RECORDS)
+@pytest.mark.parametrize("fmt", ["manifest", "artifact"])
+def test_loaders_refuse_bad_gate_records(tmp_path, ug27_m4, fmt, entry, message):
+    # Every entry of the gate table is checked, also one no executable routes.
+    process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+    path = _file_with(tmp_path, process, lambda t, _: t.append(entry), fmt)
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: malformed gate record: {re.escape(message)}$"):
+        load_processes(path)
+
+
+@pytest.mark.parametrize("case", ["negative", "past-the-end", "true", "float"])
+@pytest.mark.parametrize("fmt", ["manifest", "artifact"])
+def test_loaders_refuse_bad_gate_indices(tmp_path, ug27_m4, fmt, case):
+    process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+    sizes = []
+
+    def edit(table, record):
+        # true and 1.0 equal the valid index 1.
+        sizes.append(len(table))
+        record["routed_gates"].append({"negative": -1, "past-the-end": len(table), "true": True, "float": 1.0}[case])
+
+    path = _file_with(tmp_path, process, edit, fmt)
+    (n,) = sizes
+    message = {
+        "negative": f"routed gate index -1 is outside the gate table of {n} gates",
+        "past-the-end": f"routed gate index {n} is outside the gate table of {n} gates",
+        "true": "routed gate index must be an integer, got True",
+        "float": "routed gate index must be an integer, got 1.0",
+    }[case]
     with pytest.raises(QmuxError, match=f"^{re.escape(path)}: malformed executable record: {re.escape(message)}$"):
         load_processes(path)
+
+
+def _route(table, record, entry):
+    """Route `entry` last in `record`, at its gate table entry if the table has one."""
+    if entry not in table:
+        table.append(entry)
+    record["routed_gates"].append(table.index(entry))
 
 
 @pytest.mark.parametrize("fmt", ["manifest", "artifact"])
@@ -532,9 +613,9 @@ def test_loader_refuses_routed_gate_leaving_its_region(tmp_path, ug27_m4, fmt):
     process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
     last = process.executables[-1].region.qubits
     # A gate of the first version, outside the last version's region. In a
-    # manifest that gate is already built when the last record is read.
+    # manifest the gate table already holds it, valid for the first version.
     gate = next(g for g in process.executables[0].routed_gates if g.is_two_qubit and not last.issuperset(g.qubits))
-    path = _file_with(tmp_path, process, lambda r: r["routed_gates"].append([gate.name, gate.qubits, []]), fmt)
+    path = _file_with(tmp_path, process, lambda t, r: _route(t, r, [gate.name, list(gate.qubits), []]), fmt)
     a, b = gate.qubits
     message = f"malformed executable record: wstate_n3's routed {gate.name} on qubits {a}, {b} leaves its region"
     with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
@@ -545,7 +626,7 @@ def test_loaders_refuse_repeated_operands_after_valid_records(tmp_path, ug27_m4)
     process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
     a = process.executables[-1].layout[0]
     for fmt in ("manifest", "artifact"):
-        path = _file_with(tmp_path, process, lambda r: r["routed_gates"].append(["cx", [a, a], []]), fmt)
+        path = _file_with(tmp_path, process, lambda t, r: _route_new(t, r, ["cx", [a, a], []]), fmt)
         with pytest.raises(QmuxError, match=f"^{re.escape(path)}: cx has repeated operands"):
             load_processes(path)
 
@@ -557,32 +638,44 @@ BAD_FILES = [
     (b"\xff\xfe{}", "not valid JSON"),
     ("[1, 2]", "not a JSON object"),
 ]
-# A one-qubit executable record that loads, for hand-made bad files.
+# A one-qubit executable record that loads, for hand-made bad files, and
+# its gate table.
 ONE_QUBIT_RECORD = {
     "program_name": "p", "num_qubits": 1, "region": {"unit_ids": [0], "qubits": [0]},
-    "layout": [0], "final_layout": [0], "routed_gates": [["ry", [0], [0.5]]],
+    "layout": [0], "final_layout": [0], "routed_gates": [0],
     "swap_count": 0, "d_in": 1, "d_out": 1, "region_utility": 1.0,
 }
+ONE_QUBIT_GATES = [["ry", [0], [0.5]]]
+# The same record as a v1 file wrote it, each routed gate inline.
+V1_RECORD = ONE_QUBIT_RECORD | {"routed_gates": ONE_QUBIT_GATES}
+NOT_V2 = "not a qmux-executable-v2 or qmux-processes-v2 file"
 
 
-def _manifest_of(record, **process):
+def _manifest_of(record, gates=ONE_QUBIT_GATES, **process):
     """A manifest of one process that holds `record`, with `process` replacing process fields."""
     process = {"program_name": "p", "num_qubits": 1, "executables": [record]} | process
-    return json.dumps({"format": "qmux-processes-v1", "processes": [process]})
+    return json.dumps({"format": "qmux-processes-v2", "gates": gates, "processes": [process]})
 
 
-def _artifact_of(record):
-    return json.dumps(record | {"format": "qmux-executable-v1"})
+def _artifact_of(record, gates=ONE_QUBIT_GATES):
+    return json.dumps({"format": "qmux-executable-v2", "gates": gates} | record)
 
 
 BAD_MANIFESTS = [
-    ('{"format": "qmux-processes-v2"}', "not a qmux-executable-v1 or qmux-processes-v1 file"),
-    ('{"format": "qmux-processes-v1"}', '"processes" is not a list'),
-    ('{"format": "qmux-processes-v1", "processes": 3}', '"processes" is not a list'),
-    ('{"format": "qmux-processes-v1", "processes": [[1]]}', "malformed process record"),
+    # v1 tables are refused as a whole; they must be compiled again.
+    (json.dumps({"format": "qmux-processes-v1", "processes": [
+        {"program_name": "p", "num_qubits": 1, "executables": [V1_RECORD]}
+    ]}), NOT_V2),
+    pytest.param(json.dumps(V1_RECORD | {"format": "qmux-executable-v1"}), NOT_V2, id="v1-artifact"),
+    ('{"format": "qmux-processes-v3"}', NOT_V2),
+    ('{"format": "qmux-processes-v2"}', '"gates" is not a list'),
+    ('{"format": "qmux-executable-v2", "gates": {}}', '"gates" is not a list'),
+    ('{"format": "qmux-processes-v2", "gates": []}', '"processes" is not a list'),
+    ('{"format": "qmux-processes-v2", "gates": [], "processes": 3}', '"processes" is not a list'),
+    ('{"format": "qmux-processes-v2", "gates": [], "processes": [[1]]}', "malformed process record"),
     pytest.param(
-        '{"format": "qmux-processes-v1", "processes": []}',
-        "qmux-processes-v1 manifest holds no processes",
+        '{"format": "qmux-processes-v2", "gates": [], "processes": []}',
+        "qmux-processes-v2 manifest holds no processes",
         id="processes-empty",
     ),
     pytest.param(
@@ -596,8 +689,8 @@ BAD_MANIFESTS = [
         id="process-num-qubits-float",
     ),
     pytest.param(
-        _artifact_of(ONE_QUBIT_RECORD | {"routed_gates": [["ry", [0], ["abc"]]]}),
-        "malformed executable record: gate param must be a number, got 'abc'",
+        _artifact_of(ONE_QUBIT_RECORD, gates=[["ry", [0], ["abc"]]]),
+        "malformed gate record: gate param must be a number, got 'abc'",
         id="param-string",
     ),
     pytest.param(
@@ -645,18 +738,11 @@ def test_loaders_name_the_file_in_record_errors(tmp_path, ug27_m4, loader, form)
     # Each file parses, but a record in it is refused after the read.
     if loader is load_crosstalk_map:
         payload, message = {"flagged": [[0, 1, 0.5]]}, "crosstalk factor 0.5 on (0, 1) below 1"
+        path = _write(tmp_path / "bad.json", json.dumps(payload))
     else:
         process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
-        record = executable_to_dict(process.executables[0])
-        record["num_qubits"] += 1
+        path = _file_with(tmp_path, process, lambda _, r: r.update(num_qubits=r["num_qubits"] + 1), form)
         message = "malformed executable record: wstate_n3 has 4 qubits"
-        if form == "manifest":
-            payload = process_to_dict(process)
-            payload["executables"][0] = record
-            payload = {"format": "qmux-processes-v1", "processes": [payload]}
-        else:
-            payload = record | {"format": "qmux-executable-v1"}
-    path = _write(tmp_path / "bad.json", json.dumps(payload))
     with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}"):
         loader(path)
 
@@ -738,7 +824,7 @@ def test_cli_run_refuses_artifact_outside_its_region(tmp_path, capsys, heavyhex2
     else:
         # A device link from the region to a qubit outside it passes the link check.
         a, b = next((a, b) for a, b in heavyhex27.links if (a in region) != (b in region))
-        record["routed_gates"].append(["cx", [a, b], []])
+        _route_new(record["gates"], record, ["cx", [a, b], []])
         message = f"routed cx on qubits {a}, {b} leaves its region"
     artifact.write_text(json.dumps(record))
     capsys.readouterr()
@@ -1054,7 +1140,7 @@ def test_cli_orchestrate_reads_artifacts_and_refuses_gates_leaving_the_region(tm
     record = payload["processes"][0]["executables"][0]
     a = record["layout"][0]
     b = next(q for q in range(27) if q not in record["region"]["qubits"])
-    record["routed_gates"].append(["cx", [a, b], []])
+    _route_new(payload["gates"], record, ["cx", [a, b], []])
     manifest.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["orchestrate", str(manifest), "--out", str(out)]) == 1

@@ -13,9 +13,9 @@ from qmux.circuits import Gate
 from qmux.compiler import Executable, Process, compile_multi_version
 from qmux.devices import CrosstalkMap
 from qmux.errors import CalibrationError, OrchestrationConflict, OrchestrationTimeout, PartitionError
-from qmux.harness import sample_crosstalk_map
+from qmux.harness import _select_vanilla, sample_crosstalk_map
 from qmux.orchestrator import select_brute_force, select_heuristic
-from qmux.partition import Region
+from qmux.partition import Region, generate_compute_units
 
 
 def fake_exe(name, units, qubits=None, k=2, utility=100.0):
@@ -93,6 +93,27 @@ def test_exact_search_counts_nodes():
     assert (cut.nodes, cut.evaluations) == (3, 1)
     # Selectors that do not search report none.
     assert select_heuristic([fake_process("p1", [[0], [1]])]).nodes == 0
+
+
+def test_refused_searches_report_their_counts(monkeypatch):
+    # p2's one version needs units 0 and 1, and p1 takes one of them.
+    procs = [fake_process("p1", [[0], [1]]), fake_process("p2", [[0, 1]])]
+    # Root, then p1 at rank 1 and at rank 2, where p2 conflicts each time:
+    # three nodes, and no complete assignment to evaluate.
+    with pytest.raises(OrchestrationConflict) as conflict:
+        select_brute_force(procs)
+    assert (conflict.value.evaluations, conflict.value.nodes) == (0, 3)
+    # The greedy pass examines p1's rank 1, then p2's one version.
+    with pytest.raises(OrchestrationConflict) as conflict:
+        select_heuristic(procs)
+    assert (conflict.value.evaluations, conflict.value.nodes) == (2, 0)
+    # A clock that ticks once per reading: the start reading is 0, the root
+    # reads 1 and p1's rank-1 node reads 2, past the deadline of 1.5.
+    ticks = itertools.count()
+    monkeypatch.setattr(orchestrator.time, "perf_counter", lambda: float(next(ticks)))
+    with pytest.raises(OrchestrationTimeout) as timeout:
+        select_brute_force(procs, timeout_s=1.5)
+    assert (timeout.value.evaluations, timeout.value.nodes) == (0, 2)
 
 
 def test_disjoint_singletons_sum_to_m():
@@ -303,3 +324,27 @@ def test_partner_masks_priced_once_per_region_and_not_for_the_last_slot(monkeypa
             assert select(request[:1], crosstalk=xtalk).ranks == (1,)
         assert calls == []
     assert greedy_placed and exact_calls
+
+
+def test_tables_of_two_unit_sizes_never_share_qubits(heavyhex27):
+    # A unit id names other qubits at m=4 than at m=3: adder_n4 (m=4) and
+    # cat_state_n4 (m=3) both have a rank-1 region on qubits 16, 19, 20 and 22.
+    names = ("adder_n4", "cat_state_n4", "wstate_n3", "fredkin_n3", "deutsch_n2")
+    m4, m3 = (
+        [compile_multi_version(load_benchmark(n), generate_compute_units(heavyhex27, m)) for n in names]
+        for m in (4, 3)
+    )
+    for a, b in itertools.product(m4, m3):
+        # The exact search's answer: least rank sum, then least rank for a.
+        best = min(
+            (i + j, i, j)
+            for i, x in enumerate(a.executables, start=1)
+            for j, y in enumerate(b.executables, start=1)
+            if not x.region.qubits & y.region.qubits
+        )
+        assert select_brute_force([a, b]).ranks == best[1:]
+        selections = [select_heuristic([a, b], s, seed=1) for s in orchestrator.STRATEGIES[:3]]
+        selections.append(_select_vanilla([a, b], seed=1))
+        for sel in selections:
+            qa, qb = (e.region.qubits for e in sel.executables)
+            assert not qa & qb, (a.program_name, b.program_name, sel.strategy)

@@ -185,16 +185,19 @@ def _hand_exe(name, units, qubits):
 
 
 def _hand_instance(rng, unit_base, qubit_base):
-    """Processes on unit and qubit ids offset by the bases; some regions share qubits."""
-    unit_pool = [unit_base + i for i in range(10)]
+    """Processes on unit and qubit ids offset by the bases; some regions share units.
+
+    As in a partition, each unit owns 4 qubits and a region's qubits are its
+    units' qubits, so two regions share qubits exactly when they share units.
+    """
     qubit_pool = [qubit_base + 3 * i for i in range(40)]
+    owned = {unit_base + i: qubit_pool[4 * i : 4 * i + 4] for i in range(10)}
     processes = []
     for p in range(rng.randint(2, 6)):
         exes = []
         for _ in range(rng.randint(1, 6)):
-            units = rng.sample(unit_pool, rng.randint(1, 2))
-            qubits = rng.sample(qubit_pool, rng.randint(1, 5))
-            exes.append(_hand_exe(f"p{p}", units, qubits))
+            units = rng.sample(sorted(owned), rng.randint(1, 2))
+            exes.append(_hand_exe(f"p{p}", units, [q for u in units for q in owned[u]]))
         processes.append(Process(f"p{p}", rng.randint(1, 6), tuple(exes)))
     flagged = {}
     for _ in range(rng.randint(0, 30)):
