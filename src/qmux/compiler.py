@@ -80,7 +80,8 @@ class RoutedCircuit:
 
 
 class _RegionContext:
-    """Region-local adjacency, qubit utilities and error-weighted all-pairs distances."""
+    """Region-local adjacency, qubit utilities, the region's utility and
+    error-weighted all-pairs distances."""
 
     def __init__(self, region: Region, device: DeviceGraph):
         self.qubits = sorted(region.qubits)
@@ -98,6 +99,10 @@ class _RegionContext:
                 weight[(a, b)] = weight[(b, a)] = -math.log1p(-device.error_of(a, b))
         self.dist = {q: self._dijkstra(q, weight) for q in self.qubits}
         self.utility = {q: qubit_utility(device, q) for q in self.qubits}
+        # Summed left to right: sum() of floats rounds differently from 3.12 on.
+        self.region_utility = 0.0
+        for q in self.qubits:
+            self.region_utility += self.utility[q]
 
     def _dijkstra(self, src: int, weight: dict[tuple[int, int], float]) -> dict[int, float]:
         dist = {src: 0.0}
@@ -118,10 +123,15 @@ class _RegionContext:
 
 
 class _GateDag:
-    """An ordered gate list as operand tuples, two-qubit flags and dependencies."""
+    """An ordered gate list as operand tuples, two-qubit flags and dependencies.
 
-    def __init__(self, gates: tuple[Gate, ...]):
+    Routing a DAG whose `record` is false keeps only the final layout and swap
+    count, and returns no ops.
+    """
+
+    def __init__(self, gates: tuple[Gate, ...], record: bool = True):
         self.gates = gates
+        self.record = record
         self.qubits = [g.qubits for g in gates]
         self.two = [g.is_two_qubit for g in gates]
         self.twos = [i for i, t in enumerate(self.two) if t]
@@ -168,14 +178,20 @@ def _placement_order(circuit: Circuit) -> tuple[list[int], dict[int, list[int]]]
 
 
 class _Program:
-    """A circuit lowered once for routing, shared by every region and pass."""
+    """A circuit lowered once for routing, shared by every region and pass.
+
+    Only forward passes build gates, so the backward DAG records no ops.
+    `gates` holds every routed gate built for this program, on any region or
+    device, keyed by (name, physical operands, params).
+    """
 
     def __init__(self, circuit: Circuit):
         src = decompose_swaps(circuit)
         self.d_in = gate_list_depth(src.gates)
         self.forward = _GateDag(src.gates)
-        self.backward = _GateDag(src.gates[::-1])
+        self.backward = _GateDag(src.gates[::-1], record=False)
         self.order, self.partners = _placement_order(src)
+        self.gates: dict[tuple, Gate] = {}
 
 
 class _DerivedCache:
@@ -209,9 +225,10 @@ class _DerivedCache:
         return value
 
 
-# Each circuit is lowered once, and each region context is built once per
-# device: compile_on_region asks for both twice (layout, then route), and
-# every program compiled on a device shares that device's region contexts.
+# Each circuit is lowered once, with one table of routed gates for all its
+# regions and devices, and each region context is built once per device:
+# compile_on_region asks for both more than once, and every program compiled
+# on a device shares that device's region contexts.
 _derived = _DerivedCache()
 
 
@@ -234,7 +251,9 @@ def _seed_layout(program: _Program, ctx: _RegionContext) -> tuple[int, ...]:
         if partners:
             def score(p: int):
                 links = sum(1 for pp in partners if ctx.adjacent(p, pp))
-                spread = sum(ctx.dist[p][pp] for pp in partners)
+                spread = 0.0
+                for pp in partners:
+                    spread += ctx.dist[p][pp]
                 return (-links, spread, -util[p], p)
 
             best = min(free, key=score)
@@ -251,8 +270,9 @@ def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
     Returns (ops, final layout, swap count). Each op is (gate index, physical
     operands) for a routed gate, or (-1, (p0, p1)) for a SWAP; `_materialize`
     turns them into gates, so passes that only need the layout build none.
+    A DAG that does not record gets an empty op list.
     """
-    qubits, two, twos, succs = dag.qubits, dag.two, dag.twos, dag.succs
+    qubits, two, twos, succs, record = dag.qubits, dag.two, dag.twos, dag.succs, dag.record
     adj, dist, incident = ctx.adj, ctx.dist, ctx.incident
     layout = list(layout)
     p2l = {p: l for l, p in enumerate(layout)}
@@ -277,7 +297,8 @@ def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
 
     def do_swap(p0: int, p1: int):
         nonlocal swaps
-        ops.append((-1, (p0, p1)))
+        if record:
+            ops.append((-1, (p0, p1)))
         l0, l1 = p2l.pop(p0, None), p2l.pop(p1, None)
         if l0 is not None:
             layout[l0] = p1
@@ -305,8 +326,9 @@ def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
                     if pb not in adj[pa]:
                         blocked_ids.append(i)
                         continue
-                    ops.append((i, (pa, pb)))
-                else:
+                    if record:
+                        ops.append((i, (pa, pb)))
+                elif record:
                     ops.append((i, tuple([layout[q] for q in qs])))
                 in_front[i] = False
                 done[i] = True
@@ -376,19 +398,22 @@ def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
     return ops, tuple(layout), swaps
 
 
-def _materialize(dag: _GateDag, ops) -> tuple[Gate, ...]:
-    """Gates for routing ops; a SWAP becomes its 3-CNOT expansion.
+def _materialize(program: _Program, ops) -> tuple[Gate, ...]:
+    """Gates for forward routing ops; a SWAP becomes its 3-CNOT expansion.
 
-    Routed gates repeat, so each distinct (name, physical operands, params)
-    is built once per call and every repeat is that same object.
+    Routed gates repeat within and across regions, so each distinct (name,
+    physical operands, params) is built once per program, kept in
+    `program.gates`, and every repeat is that same object. Threads that build
+    the same gate at once all keep the first one stored.
     """
-    built: dict[tuple, Gate] = {}
+    built = program.gates
+    dag = program.forward
 
     def gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> Gate:
         key = (name, qubits, params)
         g = built.get(key)
         if g is None:
-            g = built[key] = Gate(name, qubits, params)
+            g = built.setdefault(key, Gate(name, qubits, params))
         return g
 
     out: list[Gate] = []
@@ -428,8 +453,8 @@ def initial_layout(
     with, so the final placement reflects how the whole circuit moves qubits
     around. A forward+backward cycle depends on nothing but its starting
     layout, so once a cycle returns the layout it started from, every later
-    cycle would too and refinement stops. The refinement passes keep only
-    that layout; no gates are built for them.
+    cycle would too and refinement stops. No gates are built for the
+    refinement passes, and the backward ones keep only their layout.
 
     `passes` is the memo of routing passes for this circuit and region,
     keyed by (forward, starting layout), so each distinct pass runs once;
@@ -474,11 +499,7 @@ def route(
         if p not in region.qubits:
             raise CompileError(f"layout places logical {l} on {p}, outside the region")
     ops, final_layout, swaps = _pass(program, True, tuple(layout), ctx, passes)
-    return RoutedCircuit(_materialize(program.forward, ops), final_layout, swaps)
-
-
-def region_utility(region: Region, device: DeviceGraph) -> float:
-    return sum(qubit_utility(device, q) for q in sorted(region.qubits))
+    return RoutedCircuit(_materialize(program, ops), final_layout, swaps)
 
 
 def compile_on_region(circuit: Circuit, region: Region, device: DeviceGraph) -> Executable:
@@ -505,7 +526,7 @@ def compile_on_region(circuit: Circuit, region: Region, device: DeviceGraph) -> 
         swap_count=routed.swap_count,
         d_in=d_in,
         d_out=gate_list_depth(routed.gates),
-        region_utility=region_utility(region, device),
+        region_utility=_region_context(region, device).region_utility,
     )
 
 

@@ -168,7 +168,10 @@ def qubit_utility(device: DeviceGraph, q: int) -> float:
     incident = device.neighbors(q)
     if not incident:
         return 0.0
-    total = sum(device.error_of(q, u) for u in incident)
+    # Summed left to right: sum() of floats rounds differently from 3.12 on.
+    total = 0.0
+    for u in incident:
+        total += device.error_of(q, u)
     return len(incident) / total
 
 

@@ -219,9 +219,14 @@ def generate_compute_units(device: DeviceGraph, m: int) -> UnitGraph:
 
     adj = device.adjacency
 
+    # Float sums run left to right: sum() of floats rounds differently from 3.12 on.
     def weight_of(v: int, remaining: set[int]) -> float:
-        errs = [device.error_of(v, u) for u in adj[v] if u in remaining]
-        return len(errs) / sum(errs) if errs else 0.0
+        degree, total = 0, 0.0
+        for u in adj[v]:
+            if u in remaining:
+                degree += 1
+                total += device.error_of(v, u)
+        return degree / total if degree else 0.0
 
     groups = _partition_graph(range(n), adj, weight_of, m)
     if sum(1 for g in groups if len(g) < m) > 1:
@@ -230,15 +235,12 @@ def generate_compute_units(device: DeviceGraph, m: int) -> UnitGraph:
             groups = repartitioned
 
     device_util = utilities(device)
-    units = tuple(
-        ComputeUnit(
-            id=i,
-            qubits=frozenset(grp),
-            utility=sum(device_util[q] for q in grp),
-            residual=len(grp) < m,
-        )
-        for i, grp in enumerate(groups)
-    )
+    units = []
+    for i, grp in enumerate(groups):
+        utility = 0.0
+        for q in grp:
+            utility += device_util[q]
+        units.append(ComputeUnit(id=i, qubits=frozenset(grp), utility=utility, residual=len(grp) < m))
     qubit_to_unit = [0] * n
     for unit in units:
         for q in unit.qubits:
@@ -248,7 +250,7 @@ def generate_compute_units(device: DeviceGraph, m: int) -> UnitGraph:
         ua, ub = qubit_to_unit[a], qubit_to_unit[b]
         if ua != ub:
             edges.add((min(ua, ub), max(ua, ub)))
-    return UnitGraph(device, m, units, frozenset(edges), tuple(qubit_to_unit))
+    return UnitGraph(device, m, tuple(units), frozenset(edges), tuple(qubit_to_unit))
 
 
 def enumerate_regions(unit_graph: UnitGraph, r: int) -> tuple[Region, ...]:

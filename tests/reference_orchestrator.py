@@ -1,9 +1,10 @@
 """Frozen set-based selectors that the mask-based ones in qmux must match.
 
 This is the straightforward form of runtime selection: every candidate
-check builds the executable's unit and qubit claim sets, tests them against
-the union of what is already placed, and scans every flagged link of the
-crosstalk map. The greedy strategies, the exhaustive search (same search
+check builds the executable's qubit claim set, tests it against the union of
+what is already placed, and scans every flagged link of the crosstalk map.
+Results are kept per request slot, so a program that fills several slots is
+reported in each. The greedy strategies, the exhaustive search (same search
 order, bound, strict-improvement rule and per-node deadline check) and the
 harness's fidelity-blind vanilla pick are kept here, so the package's
 selectors can be compared field by field on the same inputs.
@@ -24,7 +25,7 @@ OBJECTIVES = ("index_sum", "relative_rank")
 
 
 def _claims(executable):
-    return frozenset(executable.region.unit_ids), frozenset(executable.region.qubits)
+    return frozenset(executable.region.qubits)
 
 
 def _crosstalk_blocked(qubits, claimed_qubits, crosstalk):
@@ -36,50 +37,44 @@ def _crosstalk_blocked(qubits, claimed_qubits, crosstalk):
     return False
 
 
-def _feasible(executable, claimed_units, claimed_qubits, crosstalk):
-    units, qubits = _claims(executable)
-    if units & claimed_units:
+def _feasible(executable, claimed_qubits, crosstalk):
+    qubits = _claims(executable)
+    if qubits & claimed_qubits:
         return False
     return not _crosstalk_blocked(qubits, claimed_qubits, crosstalk)
 
 
-def _ordered(processes, strategy, seed):
+def _ordered(slots, strategy, seed):
+    """(slot, process) pairs in the order the strategy places them."""
     if strategy == "random":
-        order = list(processes)
+        order = list(slots)
         random.Random(seed).shuffle(order)
         return order
     if strategy == "small_first":
-        return sorted(processes, key=lambda p: p.num_qubits)
+        return sorted(slots, key=lambda s: s[1].num_qubits)
     if strategy == "large_first":
-        return sorted(processes, key=lambda p: -p.num_qubits)
+        return sorted(slots, key=lambda s: -s[1].num_qubits)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES[:3]}")
 
 
 def select_heuristic(processes, strategy="small_first", seed=0, crosstalk=None):
     start = time.perf_counter()
-    order = _ordered(processes, strategy, seed)
-    chosen, indices = {}, {}
-    claimed_units = frozenset()
+    slots = _ordered(list(enumerate(processes)), strategy, seed)
+    picks = [None] * len(processes)
     claimed_qubits = frozenset()
     evaluations = 0
-    for proc in order:
-        picked = None
+    for slot, proc in slots:
         for rank, exe in enumerate(proc.executables, start=1):
             evaluations += 1
-            if _feasible(exe, claimed_units, claimed_qubits, crosstalk):
-                picked = (rank, exe)
+            if _feasible(exe, claimed_qubits, crosstalk):
+                picks[slot] = (exe, rank)
                 break
-        if picked is None:
+        if picks[slot] is None:
             raise OrchestrationConflict(proc.program_name)
-        rank, exe = picked
-        chosen[proc.program_name] = exe
-        indices[proc.program_name] = rank
-        units, qubits = _claims(exe)
-        claimed_units |= units
-        claimed_qubits |= qubits
+        claimed_qubits |= _claims(picks[slot][0])
     return Selection(
-        tuple(chosen[p.program_name] for p in processes),
-        tuple(indices[p.program_name] for p in processes),
+        tuple(exe for exe, _ in picks),
+        tuple(rank for _, rank in picks),
         strategy,
         evaluations,
         time.perf_counter() - start,
@@ -109,7 +104,6 @@ def select_brute_force(processes, timeout_s=10.0, pure=False, crosstalk=None, ob
     evaluations = 0
     timed_out = False
     stack_rank = []
-    claim_units = [frozenset()]
     claim_qubits = [frozenset()]
 
     def dfs(depth, partial):
@@ -132,15 +126,12 @@ def select_brute_force(processes, timeout_s=10.0, pure=False, crosstalk=None, ob
                 and partial + step + suffix_min[depth + 1] >= best_cost + eps
             ):
                 break
-            if not _feasible(exe, claim_units[-1], claim_qubits[-1], crosstalk):
+            if not _feasible(exe, claim_qubits[-1], crosstalk):
                 continue
-            units, qubits = _claims(exe)
             stack_rank.append(rank)
-            claim_units.append(claim_units[-1] | units)
-            claim_qubits.append(claim_qubits[-1] | qubits)
+            claim_qubits.append(claim_qubits[-1] | _claims(exe))
             stop = dfs(depth + 1, partial + step)
             stack_rank.pop()
-            claim_units.pop()
             claim_qubits.pop()
             if stop:
                 return True
@@ -152,11 +143,9 @@ def select_brute_force(processes, timeout_s=10.0, pure=False, crosstalk=None, ob
         if timed_out:
             raise OrchestrationTimeout(f"no feasible assignment within {timeout_s} s")
         raise OrchestrationConflict()
-    chosen = {p.program_name: p.executables[r - 1] for p, r in zip(processes, best_vec)}
-    indices = {p.program_name: r for p, r in zip(processes, best_vec)}
     return Selection(
-        tuple(chosen[p.program_name] for p in processes),
-        tuple(indices[p.program_name] for p in processes),
+        tuple(p.executables[r - 1] for p, r in zip(processes, best_vec)),
+        tuple(best_vec),
         "brute_force",
         evaluations,
         elapsed,
@@ -168,27 +157,22 @@ def select_vanilla(processes, seed):
     """The harness's vanilla mode: a seeded uniform pick among still-feasible versions."""
     start = time.perf_counter()
     rng = random.Random(seed)
-    chosen, indices = {}, {}
-    claimed_units = frozenset()
+    picks = []
     claimed_qubits = frozenset()
     evaluations = 0
     for proc in processes:
         feasible = []
         for rank, exe in enumerate(proc.executables, start=1):
             evaluations += 1
-            if _feasible(exe, claimed_units, claimed_qubits, None):
-                feasible.append((rank, exe))
+            if _feasible(exe, claimed_qubits, None):
+                feasible.append((exe, rank))
         if not feasible:
             raise OrchestrationConflict(proc.program_name)
-        rank, exe = rng.choice(feasible)
-        chosen[proc.program_name] = exe
-        indices[proc.program_name] = rank
-        units, qubits = _claims(exe)
-        claimed_units |= units
-        claimed_qubits |= qubits
+        picks.append(rng.choice(feasible))
+        claimed_qubits |= _claims(picks[-1][0])
     return Selection(
-        tuple(chosen[p.program_name] for p in processes),
-        tuple(indices[p.program_name] for p in processes),
+        tuple(exe for exe, _ in picks),
+        tuple(rank for _, rank in picks),
         "vanilla",
         evaluations,
         time.perf_counter() - start,

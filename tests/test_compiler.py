@@ -1,5 +1,6 @@
 """Layout, routing, cost scoring, and multi-version compilation."""
 
+import builtins
 import gc
 import hashlib
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmux import compiler
+from qmux import compiler, devices, partition
 from qmux.benchmarks import load_benchmark, load_device, suite
 from qmux.circuits import Circuit, Gate, decompose_swaps
 from qmux.compiler import (
@@ -23,7 +24,7 @@ from qmux.compiler import (
     initial_layout,
     route,
 )
-from qmux.devices import DeviceGraph
+from qmux.devices import DeviceGraph, qubit_utility
 from qmux.errors import CompileError
 from qmux.partition import enumerate_regions, generate_compute_units
 from qmux.simulator import fidelity, ideal_executable_distribution, simulate_ideal
@@ -298,6 +299,83 @@ def test_golden_routing_heavyhex27_m6(heavyhex27):
 
 def test_golden_routing_heavyhex65(heavyhex65):
     assert _routing_digest(heavyhex65, (3, 4, 6)) == GOLDEN_HEAVYHEX65
+
+
+def _compensated_sum(values, start=0):
+    """sum() as CPython 3.12 and later compute it: floats by Neumaier's compensated summation."""
+    items = list(values)
+    if all(type(x) is int for x in items):
+        return builtins.sum(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_golden_routing_holds_under_compensated_sum(monkeypatch):
+    # Python 3.12 changed how sum() rounds floats; the compile path sums
+    # floats left to right itself, so its output does not depend on that.
+    for module in (compiler, devices, partition):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    # A fresh device: no region context built before the patch is reused.
+    assert _routing_digest(load_device("heavyhex27"), (3, 4)) == GOLDEN_HEAVYHEX27
+
+
+def test_region_utility_is_the_left_to_right_sum_over_sorted_qubits(heavyhex27, heavyhex65):
+    checked = 0
+    for device, m in ((heavyhex27, 4), (heavyhex65, 3)):
+        ug = generate_compute_units(device, m)
+        for name in suite():
+            for e in compile_multi_version(load_benchmark(name), ug).executables:
+                expected = 0.0
+                for q in sorted(e.region.qubits):
+                    expected += qubit_utility(device, q)
+                assert e.region_utility == expected
+                checked += 1
+    assert checked > 0
+
+
+def test_routed_gates_are_one_object_per_value_within_a_program():
+    circuit = load_benchmark("qft_n4")
+    objects: dict[tuple, set[int]] = {}
+    devices_of: dict[tuple, set[str]] = {}
+    for device in (load_device("heavyhex27"), load_device("heavyhex65")):
+        for m in (2, 3, 4):
+            for e in compile_multi_version(circuit, generate_compute_units(device, m)).executables:
+                for g in e.routed_gates:
+                    key = (g.name, g.qubits, g.params)
+                    objects.setdefault(key, set()).add(id(g))
+                    devices_of.setdefault(key, set()).add(device.name)
+    assert all(len(ids) == 1 for ids in objects.values())
+    # Gates are shared across devices, not only within one.
+    assert any(len(names) == 2 for names in devices_of.values())
+    # An equal circuit is another program, with gate objects of its own.
+    twin = load_benchmark("qft_n4")
+    assert twin == circuit and twin is not circuit
+    ug = generate_compute_units(load_device("heavyhex27"), 4)
+    twin_ids = {id(g) for e in compile_multi_version(twin, ug).executables for g in e.routed_gates}
+    assert twin_ids.isdisjoint(set().union(*objects.values()))
+
+
+def test_backward_pass_keeps_only_its_layout(heavyhex27, ug27_m4):
+    circuit = load_benchmark("qaoa_n6")
+    program = compiler._program(circuit)
+    recording = compiler._GateDag(decompose_swaps(circuit).gates[::-1])
+    swaps = 0
+    for region in enumerate_regions(ug27_m4, 2):
+        ctx = compiler._region_context(region, heavyhex27)
+        layout = compiler._seed_layout(program, ctx)
+        ops, final_layout, swap_count = compiler._route_gates(program.backward, layout, ctx)
+        recorded, recorded_layout, recorded_swaps = compiler._route_gates(recording, layout, ctx)
+        assert ops == [] and recorded
+        assert (final_layout, swap_count) == (recorded_layout, recorded_swaps)
+        swaps += swap_count
+    assert swaps > 0
 
 
 def test_compile_on_region_is_layout_then_route(heavyhex27, ug27_m4):

@@ -342,8 +342,10 @@ def test_tables_of_two_unit_sizes_never_share_qubits(heavyhex27):
             for j, y in enumerate(b.executables, start=1)
             if not x.region.qubits & y.region.qubits
         )
-        assert select_brute_force([a, b]).ranks == best[1:]
+        assert select_brute_force([a, b]).ranks == ref.select_brute_force([a, b]).ranks == best[1:]
         selections = [select_heuristic([a, b], s, seed=1) for s in orchestrator.STRATEGIES[:3]]
+        for sel, s in zip(selections, orchestrator.STRATEGIES[:3]):
+            assert sel.ranks == ref.select_heuristic([a, b], s, seed=1).ranks
         selections.append(_select_vanilla([a, b], seed=1))
         for sel in selections:
             qa, qb = (e.region.qubits for e in sel.executables)

@@ -9,7 +9,6 @@ unpruned walk, which scores every combination.
 """
 
 import random
-import re
 
 import pytest
 
@@ -120,24 +119,6 @@ def _repeated_requests(processes, unit_graph, label):
     return out
 
 
-def _one_name_per_slot(request):
-    """The request with each slot's process renamed apart, over the very same executables.
-
-    The frozen reference keys its result by program name, so it reports a
-    program that fills several slots once; with one name per slot it reports
-    every slot, while the executables and their regions stay the objects the
-    package's selectors see.
-    """
-    return [Process(f"{p.program_name}@{slot}", p.num_qubits, p.executables) for slot, p in enumerate(request)]
-
-
-def _by_program_name(outcome):
-    """A reference outcome on renamed slots, as it reads with the programs' own names."""
-    if len(outcome) == 2:
-        return outcome[0], re.sub(r"@\d+'", "'", outcome[1])
-    return outcome
-
-
 @pytest.mark.parametrize("cell", CELLS, ids=[f"{d}-m{m}" for d, m in CELLS])
 def test_repeated_programs_match_reference(tables, cell):
     # One Process object in several slots: the exact search prices each of
@@ -146,16 +127,9 @@ def test_repeated_programs_match_reference(tables, cell):
     processes, unit_graph = tables[cell]
     outcomes = []
     for request, xtalk in _repeated_requests(processes, unit_graph, f"repeated/{device_name}/{m}"):
-        slotted = _one_name_per_slot(request)
         for strategy, seed in GREEDY:
-            out = _outcome(select_heuristic, request, strategy, seed=seed, crosstalk=xtalk)
-            assert out == _by_program_name(_outcome(ref.select_heuristic, slotted, strategy, seed=seed, crosstalk=xtalk))
-        out = _outcome(select_brute_force, request, timeout_s=60.0, crosstalk=xtalk)
-        assert out == _by_program_name(_outcome(ref.select_brute_force, slotted, timeout_s=60.0, crosstalk=xtalk))
-        if len(request) <= PURE_MAX:
-            pure = _outcome(ref.select_brute_force, slotted, timeout_s=60.0, pure=True, crosstalk=xtalk)
-            assert _optimum(out) == _optimum(_by_program_name(pure))
-        outcomes.append(out)
+            _assert_same(select_heuristic, ref.select_heuristic, request, strategy, seed=seed, crosstalk=xtalk)
+        outcomes.append(_assert_exact(request, timeout_s=60.0, crosstalk=xtalk))
     placed = [o for o in outcomes if len(o) == 5]
     assert placed and len(placed) < len(outcomes)
     assert not any(o[4] for o in placed)
