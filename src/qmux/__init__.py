@@ -13,7 +13,7 @@ from .benchmarks import (
     load_device,
     suite,
 )
-from .circuits import Circuit, Gate, gate_list_depth, parse_qasm, to_qasm
+from .circuits import Circuit, Gate, gate_list_depth, parse_qasm
 from .compiler import (
     Executable,
     Process,
@@ -30,7 +30,6 @@ from .devices import (
     apply_variation,
     load_calibration,
     qubit_utility,
-    save_calibration,
     utilities,
 )
 from .errors import (
@@ -51,7 +50,6 @@ from .harness import (
     GroupRecord,
     SweepReport,
     cost_fidelity_correlation,
-    crosstalk_violations,
     generate_groups,
     nested_prefix_groups,
     run_sweep,
@@ -116,7 +114,6 @@ __all__ = [
     "compile_on_region",
     "cost_fidelity_correlation",
     "cost_sort_key",
-    "crosstalk_violations",
     "device_names",
     "enumerate_regions",
     "fidelity",
@@ -134,13 +131,11 @@ __all__ = [
     "route",
     "run_sweep",
     "sample_crosstalk_map",
-    "save_calibration",
     "select_brute_force",
     "select_heuristic",
     "simulate_ideal",
     "simulate_noisy",
     "success_ratio",
     "suite",
-    "to_qasm",
     "utilities",
 ]

@@ -320,23 +320,3 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         return Circuit(name, qreg[1], tuple(gates), creg[1] if creg else 0)
     except CircuitError as exc:
         raise QasmError(str(exc)) from exc
-
-
-def to_qasm(circuit: Circuit) -> str:
-    """Serialize back to the restricted OpenQASM 2 subset."""
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
-    nc = max(circuit.num_clbits, sum(1 for g in circuit.gates if g.name == "measure"))
-    if nc:
-        lines.append(f"creg c[{nc}];")
-    nxt_clbit = 0
-    for g in circuit.gates:
-        if g.name == "measure":
-            lines.append(f"measure q[{g.qubits[0]}] -> c[{nxt_clbit}];")
-            nxt_clbit += 1
-        elif g.name == "barrier":
-            lines.append("barrier " + ", ".join(f"q[{q}]" for q in g.qubits) + ";")
-        else:
-            params = f"({', '.join(repr(p) for p in g.params)})" if g.params else ""
-            args = ", ".join(f"q[{q}]" for q in g.qubits)
-            lines.append(f"{g.name}{params} {args};")
-    return "\n".join(lines) + "\n"

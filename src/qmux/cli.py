@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -13,15 +12,10 @@ from .circuits import parse_qasm
 from .compiler import Executable, compile_multi_version
 from .devices import DeviceGraph, load_calibration
 from .errors import QmuxError, TopologyMismatch
-from .harness import MODES, SWEEP_KINDS, co_claims, cost_fidelity_correlation, run_sweep
+from .harness import MODES, SWEEP_KINDS, cost_fidelity_correlation, run_sweep, simulate_slots
 from .orchestrator import STRATEGIES, select_brute_force, select_heuristic
 from .partition import enumerate_regions, generate_compute_units
-from .simulator import (
-    NoiseSpec,
-    fidelity,
-    ideal_executable_distribution,
-    simulate_noisy,
-)
+from .simulator import fidelity, ideal_executable_distribution
 
 
 def _load_device(spec: str) -> DeviceGraph:
@@ -118,6 +112,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_orchestrate(args) -> int:
+    if not args.timeout >= 0:  # NaN too: no time is ever past it
+        raise QmuxError(f"--timeout must be a non-negative number of seconds, got {args.timeout}")
     processes = []
     for path in args.manifests:
         processes.extend(serialize.load_processes(path))
@@ -147,35 +143,20 @@ def _cmd_run(args) -> int:
         executables = [p.executables[0] for p in processes]  # one slot per process, at rank 1
     for exe in executables:
         _check_topology(exe, device)
-    if args.all_versions:
-        # Versions of one program are alternatives: each runs alone.
-        co_claimed = [frozenset()] * len(executables)
-    else:
-        # Slots co-run, so one program may co-run with itself.
-        for first, second in itertools.combinations(executables, 2):
-            shared = first.region.qubits & second.region.qubits
-            if shared:
-                raise QmuxError(
-                    f"{first.program_name} and {second.program_name} cannot co-run: their "
-                    f"executables share qubits {', '.join(map(str, sorted(shared)))}"
-                )
-        co_claimed = co_claims(executables)
-    results = []
-    for idx, (exe, others) in enumerate(zip(executables, co_claimed)):
-        spec = NoiseSpec(
-            shots=args.shots, seed=args.seed + idx, crosstalk=crosstalk, co_claimed=others
-        )
-        observed = simulate_noisy(exe, spec, device)
-        ideal = ideal_executable_distribution(exe)
-        results.append(
-            {
-                "program_name": exe.program_name,
-                "region_qubits": sorted(exe.region.qubits),
-                "shots": args.shots,
-                "fidelity_vs_ideal": fidelity(observed, ideal),
-                "distribution": dict(sorted(observed.outcomes.items())),
-            }
-        )
+    # Versions of one program are alternatives and each runs alone; slots co-run,
+    # so one program may co-run with itself.
+    seeds = range(args.seed, args.seed + len(executables))
+    observed = simulate_slots(executables, device, args.shots, seeds, crosstalk, alone=args.all_versions)
+    results = [
+        {
+            "program_name": exe.program_name,
+            "region_qubits": sorted(exe.region.qubits),
+            "shots": args.shots,
+            "fidelity_vs_ideal": fidelity(dist, ideal_executable_distribution(exe)),
+            "distribution": dict(sorted(dist.outcomes.items())),
+        }
+        for exe, dist in zip(executables, observed)
+    ]
     _emit({"device": device.name, "results": results}, args.out)
     return 0
 
@@ -183,6 +164,9 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     device = _load_device(args.device)
     suite = args.suite if args.suite else benchmarks.suite()
+    unknown = sorted(set(suite) - set(benchmarks.suite()))
+    if unknown:
+        raise QmuxError(f"no bundled benchmark named {', '.join(unknown)}")
     try:
         report = run_sweep(
             args.kind,
@@ -197,7 +181,8 @@ def _cmd_bench(args) -> int:
             strategy=args.strategy,
         )
     except ValueError as exc:
-        # Group generation rejects a suite too small for the requested groups.
+        # Group generation rejects a suite too small for the requested groups,
+        # and the experiment a shot count below 1, before anything compiles.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     csv_path = args.out + ".csv"

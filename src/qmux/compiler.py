@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,50 +193,30 @@ class _Program:
         self.gates: dict[tuple, Gate] = {}
 
 
-class _DerivedCache:
-    """Values derived from immutable objects, kept for as long as each object lives.
+def _kept(store: dict, key, build):
+    """`store[key]`, set to `build()` on the first call.
 
-    Entries are keyed on the owner's identity (a DeviceGraph holds a dict, so
-    it cannot be hashed) and dropped by a weak-reference callback when the
-    owner is collected. The callback runs before the owner's memory is freed,
-    so a recycled id never finds a dead owner's values. A value must not refer
-    to its owner, or the owner never dies. Concurrent callers need no lock:
-    each dict operation is atomic, and callers that miss on the same key each
-    build an equal value and all keep the first one stored.
+    Callers that race on a missing key each build an equal value, and
+    `setdefault` keeps the first one stored for all of them.
     """
-
-    def __init__(self):
-        self._by_owner: dict[int, tuple[weakref.ref, dict]] = {}
-
-    def get(self, owner, key, build):
-        """The value stored for `key` under `owner`, from `build()` on the first call."""
-        owner_id = id(owner)
-        entry = self._by_owner.get(owner_id)
-        if entry is None:
-            # The entry holds the weak reference, which must outlive the owner
-            # for its callback to run.
-            ref = weakref.ref(owner, lambda _ref: self._by_owner.pop(owner_id, None))
-            entry = self._by_owner.setdefault(owner_id, (ref, {}))
-        values = entry[1]
-        value = values.get(key)
-        if value is None:
-            value = values.setdefault(key, build())
-        return value
+    value = store.get(key)
+    if value is None:
+        value = store.setdefault(key, build())
+    return value
 
 
-# Each circuit is lowered once, with one table of routed gates for all its
-# regions and devices, and each region context is built once per device:
-# compile_on_region asks for both more than once, and every program compiled
-# on a device shares that device's region contexts.
-_derived = _DerivedCache()
-
-
+# Like `cached_property`, these keep what they build in the owner's instance
+# dict, so it lives exactly as long as the owner. Each circuit is lowered
+# once, with one table of routed gates for all its regions and devices; each
+# region context is built once per device and shared by every program
+# compiled there.
 def _program(circuit: Circuit) -> _Program:
-    return _derived.get(circuit, _Program, lambda: _Program(circuit))
+    return _kept(vars(circuit), "_program", lambda: _Program(circuit))
 
 
 def _region_context(region: Region, device: DeviceGraph) -> _RegionContext:
-    return _derived.get(device, region.qubits, lambda: _RegionContext(region, device))
+    contexts = _kept(vars(device), "_region_contexts", dict)
+    return _kept(contexts, region.qubits, lambda: _RegionContext(region, device))
 
 
 def _seed_layout(program: _Program, ctx: _RegionContext) -> tuple[int, ...]:

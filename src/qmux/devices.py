@@ -152,17 +152,6 @@ def load_calibration(path: str | Path) -> DeviceGraph:
             raise CalibrationError(f"malformed calibration ({exc})") from exc
 
 
-def save_calibration(device: DeviceGraph, path: str | Path) -> None:
-    payload = {
-        "name": device.name,
-        "num_qubits": device.num_qubits,
-        "links": [[a, b, device.link_error[(a, b)]] for a, b in device.links],
-        "qubit_errors": list(device.qubit_error),
-        "readout_errors": list(device.readout_error),
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
-
-
 def qubit_utility(device: DeviceGraph, q: int) -> float:
     """Degree over summed incident link error; isolated qubits score 0."""
     incident = device.neighbors(q)

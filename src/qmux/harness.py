@@ -206,13 +206,40 @@ def _derive_seed(seed: int, *path: int) -> int:
 
 
 def co_claims(executables: Sequence[Executable]) -> list[frozenset[int]]:
-    """Each co-run slot's `co_claimed`: every slot's region qubits minus its own.
+    """Each co-run slot's `co_claimed`: the union of the other slots' region qubits.
 
-    That is the union of the other slots' qubits because co-run regions are
-    disjoint: selected regions share no unit and units partition the qubits.
+    Slots whose regions share a qubit cannot co-run, so they are refused.
     """
+    for first, second in itertools.combinations(executables, 2):
+        shared = first.region.qubits & second.region.qubits
+        if shared:
+            raise QmuxError(
+                f"{first.program_name} and {second.program_name} cannot co-run: their "
+                f"executables share qubits {', '.join(map(str, sorted(shared)))}"
+            )
     claimed = frozenset().union(*(exe.region.qubits for exe in executables))
     return [claimed - exe.region.qubits for exe in executables]
+
+
+def simulate_slots(
+    executables: Sequence[Executable],
+    device: DeviceGraph,
+    shots: int,
+    seeds: Sequence[int],
+    crosstalk: CrosstalkMap | None = None,
+    alone: bool = False,
+) -> list[Distribution]:
+    """Simulate each slot's executable on `device`, slot i seeded with `seeds[i]`.
+
+    The slots co-run: each sees the others' qubits as co-claimed, so
+    `crosstalk` amplifies links between them. Slots that run `alone` are
+    alternatives, with nothing co-claimed.
+    """
+    co_claimed = [frozenset()] * len(executables) if alone else co_claims(executables)
+    return [
+        simulate_noisy(exe, NoiseSpec(shots=shots, seed=seed, crosstalk=crosstalk, co_claimed=others), device)
+        for exe, seed, others in zip(executables, seeds, co_claimed)
+    ]
 
 
 def _select_vanilla(processes: list[Process], seed: int) -> Selection:
@@ -261,6 +288,8 @@ class FidelityExperiment:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        if shots < 1:
+            raise ValueError(f"shots must be at least 1, got {shots}")
         self.device = device
         self.unit_size = unit_size
         self.mode = mode
@@ -318,36 +347,26 @@ class FidelityExperiment:
         if self.mode == "oracle":
             rank_one = tuple(p.executables[0] for p in processes)
             selection = Selection(rank_one, (1,) * len(processes), "none", len(processes), 0.0)
-            co_claimed = [frozenset()] * len(processes)
         else:
             try:
                 selection = self._select(processes, group_seed)
             except (OrchestrationConflict, OrchestrationTimeout) as exc:
                 return GroupRecord(**meta, success=False, error=f"selection: {exc}")
-            co_claimed = co_claims(selection.executables)
 
-        fidelities: dict[str, float] = {}
-        regions: dict[str, tuple[int, ...]] = {}
-        slots = zip(group.members, selection.executables, co_claimed)
+        seeds = [_derive_seed(self.seed, group.group_id, idx) for idx in range(group.size)]
         try:
-            for idx, (name, exe, others) in enumerate(slots):
-                spec = NoiseSpec(
-                    shots=self.shots,
-                    seed=_derive_seed(self.seed, group.group_id, idx),
-                    crosstalk=self.crosstalk,
-                    co_claimed=others,
-                )
-                observed = simulate_noisy(exe, spec, self.sim_device)
-                fidelities[name] = fidelity(observed, self.ideal_for(name))
-                regions[name] = tuple(sorted(exe.region.qubits))
+            observed = simulate_slots(
+                selection.executables, self.sim_device, self.shots, seeds, self.crosstalk, alone=self.mode == "oracle"
+            )
+            fidelities = {name: fidelity(d, self.ideal_for(name)) for name, d in zip(group.members, observed)}
         except SimulationError as exc:
             return GroupRecord(**meta, success=False, error=f"simulation: {exc}")
-
+        slots = zip(group.members, selection.executables)
         return GroupRecord(
             **meta,
             success=True,
             fidelities=fidelities,
-            regions=regions,
+            regions={name: tuple(sorted(exe.region.qubits)) for name, exe in slots},
             index_sum=selection.index_sum,
             evaluations=selection.evaluations,
             selection_elapsed_s=selection.elapsed_s,
@@ -389,20 +408,6 @@ def sample_crosstalk_map(unit_graph: UnitGraph, seed: int = 0) -> CrosstalkMap:
     return CrosstalkMap(amplification)
 
 
-def crosstalk_violations(record: GroupRecord, crosstalk: CrosstalkMap) -> int:
-    """Count flagged links joining two different programs' claimed qubits."""
-    names = list(record.regions)
-    violations = 0
-    for i, a_name in enumerate(names):
-        qa = set(record.regions[a_name])
-        for b_name in names[i + 1 :]:
-            qb = set(record.regions[b_name])
-            for u, v in crosstalk.flagged:
-                if (u in qa and v in qb) or (v in qa and u in qb):
-                    violations += 1
-    return violations
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """Cost-rank vs simulated-fidelity-rank agreement per program."""
@@ -439,7 +444,7 @@ def cost_fidelity_correlation(
     rank orders versions by descending simulated fidelity. Positive
     correlation means the cost metric predicts the fidelity ordering.
     """
-    experiment = FidelityExperiment(device, unit_size)
+    experiment = FidelityExperiment(device, unit_size, shots=shots)
     per_program: dict[str, float] = {}
     for p_idx, name in enumerate(names):
         try:
@@ -449,17 +454,12 @@ def cost_fidelity_correlation(
         if len(process.executables) < 3:
             continue
         ideal = experiment.ideal_for(name)
-        fids = []
-        for e_idx, exe in enumerate(process.executables):
-            spec = NoiseSpec(shots=shots, seed=_derive_seed(seed, p_idx, e_idx))
-            try:
-                observed = simulate_noisy(exe, spec, device)
-            except SimulationError:
-                fids = []
-                break
-            fids.append(fidelity(observed, ideal))
-        if not fids:
+        seeds = [_derive_seed(seed, p_idx, e_idx) for e_idx in range(len(process.executables))]
+        try:
+            observed = simulate_slots(process.executables, device, shots, seeds, alone=True)
+        except SimulationError:
             continue
+        fids = [fidelity(dist, ideal) for dist in observed]
         try:
             # Rank 1 is the cheapest version and the most faithful one.
             rho = statistics.correlation(range(1, len(fids) + 1), _average_ranks([-f for f in fids]))
@@ -473,55 +473,34 @@ def cost_fidelity_correlation(
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    param: float
-    record: GroupRecord
-
-
-@dataclass(frozen=True)
 class SweepReport:
-    """Rows of (swept parameter, group record) plus frozen CSV/JSON output."""
+    """One experiment report per swept value, plus frozen CSV/JSON output."""
 
     kind: str
     device_name: str
-    rows: tuple[SweepRow, ...]
-
-    def params(self) -> list[float]:
-        seen: list[float] = []
-        for row in self.rows:
-            if row.param not in seen:
-                seen.append(row.param)
-        return seen
-
-    def records_at(self, param: float) -> list[GroupRecord]:
-        return [r.record for r in self.rows if r.param == param]
+    reports: dict[float, ExperimentReport]
 
     def summary(self) -> dict:
-        per_param = []
-        for param in self.params():
-            records = self.records_at(param)
-            successes = [r for r in records if r.success]
-            fids = [r.mean_fidelity for r in successes if r.mean_fidelity is not None]
-            per_param.append(
-                {
-                    "param": param,
-                    "groups": len(records),
-                    "success_ratio": len(successes) / len(records) if records else 0.0,
-                    "mean_fidelity": sum(fids) / len(fids) if fids else None,
-                }
-            )
+        per_param = [
+            {
+                "param": param,
+                "groups": len(report.records),
+                "success_ratio": success_ratio(report),
+                "mean_fidelity": report.mean_fidelity,
+            }
+            for param, report in self.reports.items()
+        ]
         return {"kind": self.kind, "device": self.device_name, "per_param": per_param}
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
-            for row in self.rows:
-                r = row.record
-                writer.writerow(
+            for param, report in self.reports.items():
+                writer.writerows(
                     [
                         self.kind,
-                        row.param,
+                        param,
                         r.group_id,
                         " ".join(r.members),
                         r.mode,
@@ -537,6 +516,7 @@ class SweepReport:
                         "" if r.selection_elapsed_s is None else f"{r.selection_elapsed_s:.6f}",
                         r.error or "",
                     ]
+                    for r in report.records
                 )
 
 
@@ -557,7 +537,7 @@ def run_sweep(
     crosstalk_seed: int = 7,
     workers: int = 1,
 ) -> SweepReport:
-    """Run one parameter sweep and collect per-(value, group) rows.
+    """Run one parameter sweep and collect one experiment report per swept value.
 
     unit_size    same groups recompiled at each compute-unit size.
     concurrency  prefix-nested groups so each size adds programs to the last.
@@ -591,8 +571,8 @@ def run_sweep(
             ]
 
     base = dict(unit_size=unit_size, mode=mode, strategy=strategy, shots=shots, seed=seed)
-    rows: list[SweepRow] = []
-    for param, groups, overrides in points:
-        report = FidelityExperiment(device, **(base | overrides)).run(groups, workers=workers)
-        rows.extend(SweepRow(float(param), r) for r in report.records)
-    return SweepReport(kind=kind, device_name=device.name, rows=tuple(rows))
+    reports = {
+        float(param): FidelityExperiment(device, **(base | overrides)).run(groups, workers=workers)
+        for param, groups, overrides in points
+    }
+    return SweepReport(kind=kind, device_name=device.name, reports=reports)

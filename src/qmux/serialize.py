@@ -259,10 +259,3 @@ def load_crosstalk_map(path: str) -> CrosstalkMap:
         except (KeyError, TypeError, ValueError) as exc:
             raise QmuxError(f"malformed crosstalk map: {exc}") from exc
         return CrosstalkMap(amplification)
-
-
-def save_crosstalk_map(path: str, crosstalk: CrosstalkMap) -> None:
-    flagged = [[a, b, f] for (a, b), f in sorted(crosstalk.amplification.items())]
-    with open(path, "w") as fh:
-        json.dump({"flagged": flagged}, fh, indent=2)
-        fh.write("\n")

@@ -215,3 +215,36 @@ def rank_correlation(xs, ys) -> float:
     if vx == 0 or vy == 0:
         return 0.0
     return cov / (vx * vy) ** 0.5
+
+
+def qasm_text(circuit) -> str:
+    """The circuit printed in the OpenQASM 2 subset that `parse_qasm` reads.
+
+    Each measure writes the next classical bit, in gate order.
+    """
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
+    measures = [g for g in circuit.gates if g.name == "measure"]
+    if circuit.num_clbits or measures:
+        lines.append(f"creg c[{max(circuit.num_clbits, len(measures))}];")
+    clbit = 0
+    for g in circuit.gates:
+        operands = ", ".join(f"q[{q}]" for q in g.qubits)
+        if g.name == "measure":
+            lines.append(f"measure {operands} -> c[{clbit}];")
+            clbit += 1
+        elif g.params:
+            lines.append(f"{g.name}({', '.join(repr(p) for p in g.params)}) {operands};")
+        else:
+            lines.append(f"{g.name} {operands};")
+    return "\n".join(lines) + "\n"
+
+
+def crosstalk_violations(record, crosstalk) -> int:
+    """Flagged links joining two different programs' regions in a group record."""
+    regions = [set(qubits) for qubits in record.regions.values()]
+    violations = 0
+    for qa, qb in itertools.combinations(regions, 2):
+        for u, v in crosstalk.flagged:
+            if (u in qa and v in qb) or (v in qa and u in qb):
+                violations += 1
+    return violations

@@ -18,7 +18,6 @@ from qmux.errors import OrchestrationConflict
 from qmux.harness import (
     FidelityExperiment,
     cost_fidelity_correlation,
-    crosstalk_violations,
     generate_groups,
     nested_prefix_groups,
     run_sweep,
@@ -41,6 +40,7 @@ from conftest import make_path
 from oracles import (
     check_unit_graph,
     count_connected_subgraphs,
+    crosstalk_violations,
     optimum_swaps,
     random_connected_device,
 )
@@ -276,8 +276,8 @@ def test_criterion_10_crosstalk_audit(heavyhex27, small_suite):
         crosstalk_seed=7,
     )
     xmap = sample_crosstalk_map(generate_compute_units(heavyhex27, 4), seed=7)
-    unfiltered = [r for r in report.records_at(0.0) if r.success]
-    filtered = [r for r in report.records_at(1.0) if r.success]
+    unfiltered = report.reports[0.0].successes()
+    filtered = report.reports[1.0].successes()
     assert filtered
     for record in filtered:
         assert crosstalk_violations(record, xmap) == 0

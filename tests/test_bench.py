@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from qmux import harness
 from qmux.benchmarks import device_path, load_benchmark, load_device
 from qmux.cli import main
 from qmux.compiler import Process, compile_multi_version
@@ -20,7 +21,7 @@ from qmux.harness import (
     FidelityExperiment,
     GroupRecord,
     _average_ranks,
-    crosstalk_violations,
+    co_claims,
     generate_groups,
     nested_prefix_groups,
     run_sweep,
@@ -32,11 +33,12 @@ from qmux.partition import generate_compute_units
 from qmux.serialize import (
     load_crosstalk_map,
     load_processes,
-    save_crosstalk_map,
     save_executable,
     save_processes,
     selection_to_dict,
 )
+
+from oracles import crosstalk_violations
 
 CSV_SCHEMA = [
     "kind",
@@ -223,10 +225,8 @@ def test_unit_size_sweep_parameter_rows(heavyhex27, small_suite):
         seed=5,
         unit_sizes=range(2, 13),
     )
-    assert report.params() == [float(m) for m in range(2, 13)]
-    assert len(report.rows) == 11 * 2
-    seen = {(row.param, row.record.group_id) for row in report.rows}
-    assert len(seen) == len(report.rows)
+    assert list(report.reports) == [float(m) for m in range(2, 13)]
+    assert all([r.group_id for r in rep.records] == [0, 1] for rep in report.reports.values())
 
 
 def test_variation_sigma_zero_matches_unswept(heavyhex27, small_suite):
@@ -243,7 +243,7 @@ def test_variation_sigma_zero_matches_unswept(heavyhex27, small_suite):
     )
     groups = generate_groups(small_suite, 2, 3, seed=13)
     direct = FidelityExperiment(heavyhex27, 4, shots=256, seed=13).run(groups)
-    swept = sweep.records_at(0.0)
+    swept = sweep.reports[0.0].records
     assert len(swept) == len(direct.records) == 3
     for a, b in zip(swept, direct.records):
         assert a.success == b.success
@@ -262,9 +262,9 @@ def test_crosstalk_sweep_filter_audit(heavyhex27, small_suite, tmp_path):
         seed=11,
         crosstalk_seed=7,
     )
-    assert report.params() == [0.0, 1.0]
+    assert list(report.reports) == [0.0, 1.0]
     xmap = sample_crosstalk_map(generate_compute_units(heavyhex27, 4), seed=7)
-    for record in report.records_at(1.0):
+    for record in report.reports[1.0].records:
         if record.success:
             assert crosstalk_violations(record, xmap) == 0
 
@@ -273,7 +273,7 @@ def test_crosstalk_sweep_filter_audit(heavyhex27, small_suite, tmp_path):
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_SCHEMA
-    assert len(rows) == 1 + len(report.rows)
+    assert len(rows) == 1 + sum(len(r.records) for r in report.reports.values())
 
     summary = report.summary()
     assert summary["kind"] == "crosstalk"
@@ -336,11 +336,11 @@ def test_sweep_rows_match_direct_experiments(kind, heavyhex27):
         workers=1,
     )
     expected = [
-        (param, _comparable(r))
+        (param, [_comparable(r) for r in report.records])
         for param, report in _expected_sweep(kind, heavyhex27, seed, crosstalk_seed)
-        for r in report.records
     ]
-    assert [(row.param, _comparable(row.record)) for row in sweep.rows] == expected
+    swept = [(param, [_comparable(r) for r in report.records]) for param, report in sweep.reports.items()]
+    assert swept == expected
     assert sweep.kind == kind and sweep.device_name == heavyhex27.name
 
 
@@ -365,6 +365,23 @@ def test_spearman_ties_share_their_average_rank():
     assert _average_ranks([]) == []
 
 
+def test_co_claims_are_the_other_slots_qubits_and_refuse_shared_ones(ug27_m4):
+    process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+    first = process.executables[0]
+    second = next(e for e in process.executables if not e.region.qubits & first.region.qubits)
+    assert co_claims([first, second]) == [second.region.qubits, first.region.qubits]
+    shared = ", ".join(map(str, sorted(first.region.qubits)))
+    with pytest.raises(QmuxError, match=f"wstate_n3 and wstate_n3 cannot co-run: their executables share qubits {shared}$"):
+        co_claims([first, second, first])
+
+
+def _write_crosstalk(tmp_path, amplification):
+    """A crosstalk map file, {"flagged": [[a, b, factor], ...]}; returns its path."""
+    path = tmp_path / "xtalk.json"
+    path.write_text(json.dumps({"flagged": [[a, b, f] for (a, b), f in amplification.items()]}))
+    return path
+
+
 def test_serialization_roundtrips(ug27_m4, tmp_path):
     process = compile_multi_version(load_benchmark("adder_n4"), ug27_m4)
     exe = process.executables[0]
@@ -376,10 +393,8 @@ def test_serialization_roundtrips(ug27_m4, tmp_path):
     save_executable(str(artifact), exe)
     assert load_processes(str(artifact)) == [Process("adder_n4", 4, (exe,))]
 
-    xmap = CrosstalkMap({(0, 1): 2.5, (5, 8): 4.0})
-    xpath = tmp_path / "xtalk.json"
-    save_crosstalk_map(str(xpath), xmap)
-    assert load_crosstalk_map(str(xpath)) == xmap
+    xpath = _write_crosstalk(tmp_path, {(0, 1): 2.5, (5, 8): 4.0})
+    assert load_crosstalk_map(str(xpath)) == CrosstalkMap({(0, 1): 2.5, (5, 8): 4.0})
 
     selection = select_heuristic([process])
     payload = selection_to_dict(selection)
@@ -931,6 +946,42 @@ def test_cli_bench_suite_too_small_for_groups(tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_cli_bench_refuses_unknown_suite_names(tmp_path, capsys):
+    argv = "bench --kind unit_size --device heavyhex27 --suite bogus1 wstate_n3 bogus2 --groups 1 --shots 16"
+    assert main([*argv.split(), "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "bogus1" in err and "bogus2" in err and "wstate_n3" not in err
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_cli_bench_refuses_shots_below_one_before_compiling(shots, tmp_path, capsys, monkeypatch):
+    compiled = []
+    monkeypatch.setattr(harness, "compile_multi_version", lambda *args: compiled.append(args))
+    argv = "bench --kind unit_size --device heavyhex27 --suite wstate_n3 adder_n4 --groups 1 --shots"
+    assert main([*argv.split(), shots, "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"shots must be at least 1, got {shots}" in err
+    assert not compiled and not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("timeout", ["nan", "-1"])
+def test_cli_orchestrate_refuses_nan_and_negative_timeouts(timeout, tmp_path, capsys):
+    out_dir = tmp_path / "compiled"
+    assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "selection.json"
+    manifest = str(out_dir / "wstate_n3.process.json")
+    argv = ["orchestrate", manifest, "--strategy", "brute_force", "--timeout", timeout, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"--timeout must be a non-negative number of seconds, got {float(timeout)}" in err
+    assert not out.exists()
+
+
 def _rank1(path):
     """The rank-1 executable of the first process in a manifest or artifact."""
     return load_processes(str(path))[0].executables[0]
@@ -949,8 +1000,7 @@ def test_cli_run_crosstalk_between_programs_lowers_fidelity(tmp_path, heavyhex27
         if between and not region & other:
             second = path
             break
-    xpath = tmp_path / "xtalk.json"
-    save_crosstalk_map(str(xpath), CrosstalkMap({l: 5.0 for l in between}))
+    xpath = _write_crosstalk(tmp_path, {l: 5.0 for l in between})
 
     def fidelities(*argv):
         out = tmp_path / "run.json"
@@ -1016,8 +1066,7 @@ def test_cli_run_co_runs_one_program_with_itself(tmp_path, heavyhex27):
         if between and not region & other:
             second = path
             break
-    xpath = tmp_path / "xtalk.json"
-    save_crosstalk_map(str(xpath), CrosstalkMap({l: 5.0 for l in between}))
+    xpath = _write_crosstalk(tmp_path, {l: 5.0 for l in between})
 
     def fidelities(*argv):
         out = tmp_path / "run.json"

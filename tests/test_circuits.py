@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmux.benchmarks import benchmark_path, load_benchmark
-from qmux.circuits import Circuit, Gate, decompose_swaps, gate_list_depth, parse_qasm, to_qasm
+from qmux.circuits import Circuit, Gate, decompose_swaps, gate_list_depth, parse_qasm
 from qmux.errors import CircuitError, QasmError
 
-from oracles import layered_depth
+from oracles import layered_depth, qasm_text
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -96,7 +96,7 @@ def test_swap_decomposition():
 
 def test_roundtrip_bundled_benchmark():
     src = load_benchmark("wstate_n3")
-    again = parse_qasm(to_qasm(src))
+    again = parse_qasm(qasm_text(src))
     assert again.gates == src.gates
     assert again.num_qubits == src.num_qubits
 
@@ -136,7 +136,7 @@ def test_depth_properties(gates):
 @given(st.lists(_gate, min_size=0, max_size=20))
 def test_parse_print_roundtrip(gates):
     c = Circuit("rt", 5, tuple(gates))
-    assert parse_qasm(to_qasm(c)).gates == c.gates
+    assert parse_qasm(qasm_text(c)).gates == c.gates
 
 
 class _Finalized:

@@ -489,14 +489,15 @@ def test_no_routing_pass_repeats_within_a_compile(monkeypatch, heavyhex27):
 def test_cache_entries_die_with_their_device_and_circuit():
     dev = make_path(4)
     circuit = Circuit("chain", 4, tuple(Gate("cx", (i, i + 1)) for i in range(3)))
-    compile_on_region(circuit, _whole_device_region(dev), dev)
-    keys = (id(dev), id(circuit))
-    assert all(k in compiler._derived._by_owner for k in keys)
+    region = _whole_device_region(dev)
+    compile_on_region(circuit, region, dev)
+    # Each owner holds what was derived from it, so nothing outlives it.
+    assert isinstance(vars(circuit)["_program"], compiler._Program)
+    assert set(vars(dev)["_region_contexts"]) == {region.qubits}
     alive = (weakref.ref(dev), weakref.ref(circuit))
     del dev, circuit
     gc.collect()
     assert all(ref() is None for ref in alive)
-    assert not any(k in compiler._derived._by_owner for k in keys)
 
 
 def test_concurrent_compiles_match_serial():

@@ -13,7 +13,6 @@ from qmux.devices import (
     apply_variation,
     load_calibration,
     qubit_utility,
-    save_calibration,
     utilities,
 )
 from qmux.errors import CalibrationError
@@ -74,13 +73,6 @@ def test_bundled_heavy_hex_link_counts(heavyhex27, heavyhex65):
     assert heavyhex27.num_qubits == 27
     assert len(heavyhex27.links) == 28
     assert heavyhex65.num_qubits == 65
-
-
-def test_save_load_roundtrip(tmp_path, heavyhex27):
-    out = tmp_path / "again.json"
-    save_calibration(heavyhex27, out)
-    again = load_calibration(out)
-    assert again == heavyhex27
 
 
 def test_utility_single_link():
