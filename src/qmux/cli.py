@@ -55,6 +55,12 @@ def _check_topology(exe: Executable, device: DeviceGraph) -> None:
             )
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that numpy's generators would reject after the work began."""
+    if seed < 0:
+        raise QmuxError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
@@ -129,6 +135,7 @@ def _cmd_orchestrate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _check_seed(args.seed)
     one_program = "--all-versions runs the versions of one program; got {} programs"
     if args.all_versions and len(args.executables) > 1:  # refused before any file is read
         raise QmuxError(one_program.format(len(args.executables)))
@@ -162,6 +169,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_seed(args.seed)
     device = _load_device(args.device)
     suite = args.suite if args.suite else benchmarks.suite()
     unknown = sorted(set(suite) - set(benchmarks.suite()))

@@ -13,9 +13,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 from .circuits import Circuit, Gate, decompose_swaps, gate_list_depth
 from .devices import DeviceGraph, qubit_utility
@@ -79,72 +79,84 @@ class RoutedCircuit:
 
 
 class _RegionContext:
-    """Region-local adjacency, qubit utilities, the region's utility and
-    error-weighted all-pairs distances."""
+    """Region-local adjacency, incident links, weighted all-pairs distances and
+    utilities. Local index i is `qubits[i]`, the i-th smallest physical id, so
+    local indices order as physical ids do and every tie breaks the same way."""
 
     def __init__(self, region: Region, device: DeviceGraph):
         self.qubits = sorted(region.qubits)
-        self.adj: dict[int, set[int]] = {q: set() for q in self.qubits}
+        self.index = {p: i for i, p in enumerate(self.qubits)}
+        n = len(self.qubits)
+        self.adj: list[set[int]] = [set() for _ in range(n)]
         # Region links touching each qubit, for picking swap candidates.
-        self.incident: dict[int, list[tuple[int, int]]] = {q: [] for q in self.qubits}
+        self.incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         weight: dict[tuple[int, int], float] = {}
         for a, b in device.links:
-            if a in region.qubits and b in region.qubits:
-                self.adj[a].add(b)
-                self.adj[b].add(a)
-                self.incident[a].append((a, b))
-                self.incident[b].append((a, b))
+            ia, ib = self.index.get(a), self.index.get(b)
+            if ia is not None and ib is not None:
+                self.adj[ia].add(ib)
+                self.adj[ib].add(ia)
+                self.incident[ia].append((ia, ib))
+                self.incident[ib].append((ia, ib))
                 # -ln(1 - e): low-error links are shorter, so routes prefer them.
-                weight[(a, b)] = weight[(b, a)] = -math.log1p(-device.error_of(a, b))
-        self.dist = {q: self._dijkstra(q, weight) for q in self.qubits}
-        self.utility = {q: qubit_utility(device, q) for q in self.qubits}
+                weight[(ia, ib)] = weight[(ib, ia)] = -math.log1p(-device.error_of(a, b))
+        self.dist = [self._dijkstra(i, weight) for i in range(n)]
+        # The lookahead's weight times each distance, as routing scores it.
+        self.extended = [[_EXTENDED_WEIGHT * d for d in row] for row in self.dist]
+        self.utility = [qubit_utility(device, q) for q in self.qubits]
         # Summed left to right: sum() of floats rounds differently from 3.12 on.
         self.region_utility = 0.0
-        for q in self.qubits:
-            self.region_utility += self.utility[q]
+        for u in self.utility:
+            self.region_utility += u
 
-    def _dijkstra(self, src: int, weight: dict[tuple[int, int], float]) -> dict[int, float]:
-        dist = {src: 0.0}
+    def _dijkstra(self, src: int, weight: dict[tuple[int, int], float]) -> list[float]:
+        dist = [math.inf] * len(self.adj)
+        dist[src] = 0.0
         heap = [(0.0, src)]
         while heap:
             d, v = heapq.heappop(heap)
-            if d > dist.get(v, math.inf):
+            if d > dist[v]:
                 continue
             for u in self.adj[v]:
                 nd = d + weight[(v, u)]
-                if nd < dist.get(u, math.inf):
+                if nd < dist[u]:
                     dist[u] = nd
                     heapq.heappush(heap, (nd, u))
         return dist
 
-    def adjacent(self, a: int, b: int) -> bool:
-        return b in self.adj[a]
-
 
 class _GateDag:
-    """An ordered gate list as operand tuples, two-qubit flags and dependencies.
+    """Dependencies among the tracked gates of a gate list: all of them, or
+    only the two-qubit ones. `qubits` holds their operands in list order.
 
-    Routing a DAG whose `record` is false keeps only the final layout and swap
-    count, and returns no ops.
+    A tracked gate waits for each tracked gate it depends on through any
+    chain of gates. Routing never blocks an untracked gate, so a one-qubit
+    gate or measure passes its qubit's dependencies on, and a barrier makes
+    each later gate on its qubits wait for all before it on any of them.
     """
 
-    def __init__(self, gates: tuple[Gate, ...], record: bool = True):
-        self.gates = gates
-        self.record = record
-        self.qubits = [g.qubits for g in gates]
-        self.two = [g.is_two_qubit for g in gates]
-        self.twos = [i for i, t in enumerate(self.two) if t]
-        n = len(gates)
-        last_on: dict[int, int] = {}
-        self.succs: list[list[int]] = [[] for _ in range(n)]
-        self.blockers = [0] * n
-        for i, qs in enumerate(self.qubits):
-            for q in qs:
-                if q in last_on:
-                    self.succs[last_on[q]].append(i)
-                    self.blockers[i] += 1
-                last_on[q] = i
-        self.roots = [i for i in range(n) if self.blockers[i] == 0]
+    def __init__(self, gates: tuple[Gate, ...], *, two_qubit_only: bool):
+        self.qubits: list[tuple[int, ...]] = []
+        self.succs: list[list[int]] = []
+        self.blockers: list[int] = []
+        self.size = len(gates)
+        qubits, succs, blockers = self.qubits, self.succs, self.blockers
+        waits: dict[int, Collection[int]] = {}  # what the next tracked gate on each qubit waits for
+        for g in gates:
+            tracked = not two_qubit_only or g.is_two_qubit
+            if not tracked and len(g.qubits) == 1:
+                continue
+            preds = {i for q in g.qubits for i in waits.get(q, ())}
+            if tracked:
+                for p in preds:
+                    succs[p].append(len(qubits))
+                blockers.append(len(preds))
+                preds = (len(qubits),)
+                succs.append([])
+                qubits.append(g.qubits)
+            for q in g.qubits:
+                waits[q] = preds
+        self.roots = [i for i, n in enumerate(blockers) if not n]
 
 
 def _placement_order(circuit: Circuit) -> tuple[list[int], dict[int, list[int]]]:
@@ -179,16 +191,20 @@ def _placement_order(circuit: Circuit) -> tuple[list[int], dict[int, list[int]]]
 class _Program:
     """A circuit lowered once for routing, shared by every region and pass.
 
-    Only forward passes build gates, so the backward DAG records no ops.
-    `gates` holds every routed gate built for this program, on any region or
-    device, keyed by (name, physical operands, params).
+    Swaps are decided on the two-qubit DAGs, forward and backward; the full
+    DAG is swept only to emit the routed gates. `gates` holds every routed
+    gate built for this program, on any region or device, keyed by (name,
+    physical operands, params).
     """
 
     def __init__(self, circuit: Circuit):
         src = decompose_swaps(circuit)
         self.d_in = gate_list_depth(src.gates)
-        self.forward = _GateDag(src.gates)
-        self.backward = _GateDag(src.gates[::-1], record=False)
+        self.source = src.gates
+        self.two = [g.is_two_qubit for g in src.gates]
+        self.dag = _GateDag(src.gates, two_qubit_only=False)
+        self.forward = _GateDag(src.gates, two_qubit_only=True)
+        self.backward = _GateDag(src.gates[::-1], two_qubit_only=True)
         self.order, self.partners = _placement_order(src)
         self.gates: dict[tuple, Gate] = {}
 
@@ -220,173 +236,163 @@ def _region_context(region: Region, device: DeviceGraph) -> _RegionContext:
 
 
 def _seed_layout(program: _Program, ctx: _RegionContext) -> tuple[int, ...]:
-    """Place the logical qubits, in interaction order, onto high-utility region qubits."""
-    util = ctx.utility
+    """Place the logical qubits, in interaction order, onto high-utility region
+    qubits; the layout is in region-local indices."""
+    util, adj, dist = ctx.utility, ctx.adj, ctx.dist
     homes: dict[int, int] = {}
-    used: set[int] = set()
+    used = [False] * len(util)
     for q in program.order:
-        free = [p for p in ctx.qubits if p not in used]
+        free = [p for p, taken in enumerate(used) if not taken]
         partners = [homes[p] for p in program.partners[q] if p in homes]
         if partners:
             def score(p: int):
-                links = sum(1 for pp in partners if ctx.adjacent(p, pp))
+                near, row = adj[p], dist[p]
+                links = 0
                 spread = 0.0
                 for pp in partners:
-                    spread += ctx.dist[p][pp]
+                    links += pp in near
+                    spread += row[pp]
                 return (-links, spread, -util[p], p)
 
             best = min(free, key=score)
         else:
             best = max(free, key=lambda p: (util[p], -p))
         homes[q] = best
-        used.add(best)
+        used[best] = True
     return tuple(homes[q] for q in range(len(program.order)))
 
 
-def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
-    """Greedy swap-insertion routing of an already-placed gate list.
+def _swap(layout: list[int], p2l: list[int], p0: int, p1: int) -> None:
+    """Exchange whatever logical qubits sit on p0 and p1 (-1: none)."""
+    l0, l1 = p2l[p0], p2l[p1]
+    p2l[p0], p2l[p1] = l1, l0
+    if l0 >= 0:
+        layout[l0] = p1
+    if l1 >= 0:
+        layout[l1] = p0
 
-    Returns (ops, final layout, swap count). Each op is (gate index, physical
-    operands) for a routed gate, or (-1, (p0, p1)) for a SWAP; `_materialize`
-    turns them into gates, so passes that only need the layout build none.
-    A DAG that does not record gets an empty op list.
+
+def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
+    """Greedy swap insertion for a placed two-qubit gate DAG, in region-local indices.
+
+    Returns (final layout, swap count, decisions). A decision is the tuple of
+    links swapped at one point where every gate in the front was blocked;
+    `_emit` replays them over the full gate list.
     """
-    qubits, two, twos, succs, record = dag.qubits, dag.two, dag.twos, dag.succs, dag.record
-    adj, dist, incident = ctx.adj, ctx.dist, ctx.incident
+    qubits, succs = dag.qubits, dag.succs
+    adj, dist, extended, incident = ctx.adj, ctx.dist, ctx.extended, ctx.incident
     layout = list(layout)
-    p2l = {p: l for l, p in enumerate(layout)}
+    p2l = [-1] * len(adj)
+    for l, p in enumerate(layout):
+        p2l[p] = l
+    moved = list(range(len(adj)))
 
     n = len(qubits)
     blockers = list(dag.blockers)
-    front = list(dag.roots)
-    in_front = [False] * n
-    for i in front:
-        in_front[i] = True
-    done = [False] * n
-    first_open = 0  # every two-qubit gate before twos[first_open] is done
+    # 0: not yet in the front, 1: blocked in the front, 2: done.
+    state = [0] * n
+    first_open = 0  # every gate before first_open is done
 
-    ops: list[tuple[int, tuple[int, ...]]] = []
+    decisions: list[tuple[tuple[int, int], ...]] = []
     swaps = 0
     decay: dict[tuple[int, int], float] = {}
-    guard = 100 * (n + 10)
+    guard = 100 * (dag.size + 10)
     # Swaps since the last executed gate; past this, heuristic scoring has
     # livelocked and one blocked gate gets walked home along a shortest path.
     stuck = 0
     stuck_limit = 2 * len(ctx.qubits) + 4
 
-    def do_swap(p0: int, p1: int):
-        nonlocal swaps
-        if record:
-            ops.append((-1, (p0, p1)))
-        l0, l1 = p2l.pop(p0, None), p2l.pop(p1, None)
-        if l0 is not None:
-            layout[l0] = p1
-            p2l[p1] = l0
-        if l1 is not None:
-            layout[l1] = p0
-            p2l[p0] = l1
-        swaps += 1
-        if swaps > guard:
-            raise CompileError("routing failed to converge")
-
-    while front:
-        # Sweep the front in index order, executing every gate whose operands
-        # are adjacent; gates this unblocks wait for the next sweep.
-        progressed = True
-        while progressed:
-            progressed = False
-            front.sort()
-            blocked_ids: list[int] = []
-            ready: list[int] = []
-            for i in front:
-                qs = qubits[i]
-                if two[i]:
-                    pa, pb = layout[qs[0]], layout[qs[1]]
-                    if pb not in adj[pa]:
-                        blocked_ids.append(i)
-                        continue
-                    if record:
-                        ops.append((i, (pa, pb)))
-                elif record:
-                    ops.append((i, tuple([layout[q] for q in qs])))
-                in_front[i] = False
-                done[i] = True
-                for s in succs[i]:
-                    blockers[s] -= 1
-                    if blockers[s] == 0:
-                        ready.append(s)
-                        in_front[s] = True
-                progressed = True
-            front = blocked_ids + ready
-            if progressed:
-                stuck = 0
-                decay.clear()
+    todo = list(dag.roots)
+    while True:
+        # Run what the layout allows, in any order: once nothing more can run,
+        # the done set is the same whatever the order, and the front is blocked.
+        front: list[int] = []
+        progressed = False
+        while todo:
+            i = todo.pop()
+            a, b = qubits[i]
+            if layout[b] not in adj[layout[a]]:
+                state[i] = 1
+                front.append(i)
+                continue
+            state[i] = 2
+            progressed = True
+            for s in succs[i]:
+                blockers[s] -= 1
+                if blockers[s] == 0:
+                    todo.append(s)
+        if progressed:
+            stuck = 0
+            decay.clear()
         if not front:
             break
-        # The last sweep executed nothing, so `front` is sorted and all blocked.
+        front.sort()
+        todo = front
 
         if stuck >= stuck_limit:
             # Deterministic bail-out: march the oldest blocked pair together.
-            qs = qubits[front[0]]
-            pa, pb = layout[qs[0]], layout[qs[1]]
+            a, b = qubits[front[0]]
+            pa, pb = layout[a], layout[b]
+            walk = []
             while pb not in adj[pa]:
                 step = min(adj[pa], key=lambda u: (dist[u][pb], u))
-                do_swap(pa, step)
+                walk.append((pa, step))
+                _swap(layout, p2l, pa, step)
                 pa = step
+            swaps += len(walk)
+            decisions.append(tuple(walk))
             stuck = 0
-            continue
+        else:
+            # Pairs the score sums over, each with its weighted distances: the
+            # blocked front, then the lookahead (the next pending gates not in it).
+            pairs = [(layout[qubits[i][0]], layout[qubits[i][1]], dist) for i in front]
+            n_blocked = len(pairs)
+            while state[first_open] == 2:
+                first_open += 1
+            for i in range(first_open, n):
+                if not state[i]:
+                    a, b = qubits[i]
+                    pairs.append((layout[a], layout[b], extended))
+                    if len(pairs) == n_blocked + _LOOKAHEAD:
+                        break
 
-        # Pairs the score sums over, weighted: the blocked front, then the
-        # lookahead (the next pending two-qubit gates not in the front).
-        pairs = [(layout[qubits[i][0]], layout[qubits[i][1]], 1.0) for i in front]
-        n_blocked = len(pairs)
-        while done[twos[first_open]]:
-            first_open += 1
-        for i in islice(twos, first_open, None):
-            if not done[i] and not in_front[i]:
-                a, b = qubits[i]
-                pairs.append((layout[a], layout[b], _EXTENDED_WEIGHT))
-                if len(pairs) == n_blocked + _LOOKAHEAD:
-                    break
+            candidates = sorted({e for a, b, _ in pairs[:n_blocked] for e in incident[a] + incident[b]})
+            # Score each candidate SWAP by the weighted distance sum of the pairs
+            # after it is applied, added in pair order; the first lowest-scoring
+            # edge in sorted order wins. `moved` maps each qubit to its place
+            # after the candidate.
+            best = None
+            best_score = 0.0
+            for edge in candidates:
+                p0, p1 = edge
+                moved[p0], moved[p1] = p1, p0
+                total = decay.get(edge, 0.0)
+                for a, b, table in pairs:
+                    total += table[moved[a]][moved[b]]
+                moved[p0], moved[p1] = p0, p1
+                if best is None or total < best_score:
+                    best, best_score = edge, total
+            _swap(layout, p2l, *best)
+            swaps += 1
+            decisions.append((best,))
+            decay[best] = decay.get(best, 0.0) + _DECAY_STEP
+            stuck += 1
+        if swaps > guard:
+            raise CompileError("routing failed to converge")
 
-        candidates = sorted({e for a, b, _ in pairs[:n_blocked] for e in incident[a] + incident[b]})
-        # Score each candidate SWAP by the weighted distance sum of the pairs
-        # after it is applied, added in pair order; the first lowest-scoring
-        # edge in sorted order wins.
-        best = None
-        best_score = 0.0
-        for edge in candidates:
-            p0, p1 = edge
-            total = decay.get(edge, 0.0)
-            for a, b, w in pairs:
-                if a == p0:
-                    a = p1
-                elif a == p1:
-                    a = p0
-                if b == p0:
-                    b = p1
-                elif b == p1:
-                    b = p0
-                total += w * dist[a][b]
-            if best is None or total < best_score:
-                best, best_score = edge, total
-        do_swap(*best)
-        decay[best] = decay.get(best, 0.0) + _DECAY_STEP
-        stuck += 1
-
-    return ops, tuple(layout), swaps
+    return tuple(layout), swaps, decisions
 
 
-def _materialize(program: _Program, ops) -> tuple[Gate, ...]:
-    """Gates for forward routing ops; a SWAP becomes its 3-CNOT expansion.
+def _emit(program: _Program, layout: tuple[int, ...], decisions, ctx: _RegionContext) -> tuple[Gate, ...]:
+    """The routed gates of the forward pass from `layout` that made `decisions`.
 
-    Routed gates repeat within and across regions, so each distinct (name,
-    physical operands, params) is built once per program, kept in
-    `program.gates`, and every repeat is that same object. Threads that build
-    the same gate at once all keep the first one stored.
+    Sweeps the full DAG's front in index order, executing each gate whose
+    operands are adjacent; gates this unblocks wait for the next sweep. Where
+    the whole front is blocked, the next decision's swaps go in as 3 CNOTs.
+    Each distinct (name, physical operands, params) is one `Gate` per
+    program, kept in `program.gates`; racing threads keep the first stored.
     """
     built = program.gates
-    dag = program.forward
 
     def gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> Gate:
         key = (name, qubits, params)
@@ -395,15 +401,45 @@ def _materialize(program: _Program, ops) -> tuple[Gate, ...]:
             g = built.setdefault(key, Gate(name, qubits, params))
         return g
 
+    source, two, dag = program.source, program.two, program.dag
+    succs, adj, phys = dag.succs, ctx.adj, ctx.qubits
+    layout = list(layout)
+    p2l = [-1] * len(adj)
+    for l, p in enumerate(layout):
+        p2l[p] = l
+    blockers = list(dag.blockers)
+    front = list(dag.roots)
+    steps = iter(decisions)
     out: list[Gate] = []
-    for i, phys in ops:
-        if i < 0:
-            p0, p1 = phys
-            first = gate("cx", phys, ())
-            out.extend((first, gate("cx", (p1, p0), ()), first))
-        else:
-            g = dag.gates[i]
-            out.append(gate(g.name, phys, g.params))
+    while front:
+        progressed = True
+        while progressed:
+            progressed = False
+            front.sort()
+            blocked: list[int] = []
+            ready: list[int] = []
+            for i in front:
+                g = source[i]
+                qs = g.qubits
+                if two[i]:
+                    pa, pb = layout[qs[0]], layout[qs[1]]
+                    if pb not in adj[pa]:
+                        blocked.append(i)
+                        continue
+                    out.append(gate(g.name, (phys[pa], phys[pb]), g.params))
+                else:
+                    out.append(gate(g.name, tuple([phys[layout[q]] for q in qs]), g.params))
+                for s in succs[i]:
+                    blockers[s] -= 1
+                    if blockers[s] == 0:
+                        ready.append(s)
+                progressed = True
+            front = blocked + ready
+        if front:
+            for p0, p1 in next(steps):
+                first = gate("cx", (phys[p0], phys[p1]), ())
+                out.extend((first, gate("cx", (phys[p1], phys[p0]), ()), first))
+                _swap(layout, p2l, p0, p1)
     return tuple(out)
 
 
@@ -432,12 +468,13 @@ def initial_layout(
     with, so the final placement reflects how the whole circuit moves qubits
     around. A forward+backward cycle depends on nothing but its starting
     layout, so once a cycle returns the layout it started from, every later
-    cycle would too and refinement stops. No gates are built for the
-    refinement passes, and the backward ones keep only their layout.
+    cycle would too and refinement stops. Refinement passes only decide
+    swaps, on the two-qubit gates, and build no gates.
 
     `passes` is the memo of routing passes for this circuit and region,
-    keyed by (forward, starting layout), so each distinct pass runs once;
-    `compile_on_region` shares it with `route`. Omitted, a fresh one is used.
+    keyed by (forward, starting layout in region-local indices), so each
+    distinct pass runs once; `compile_on_region` shares it with `route`.
+    Omitted, a fresh one is used.
     """
     if circuit.num_qubits > len(region.qubits):
         raise CompileError(
@@ -450,11 +487,11 @@ def initial_layout(
     layout = _seed_layout(program, ctx)
     for _ in range(_REFINEMENT_PASSES):
         start = layout
-        layout = _pass(program, True, layout, ctx, passes)[1]
-        layout = _pass(program, False, layout, ctx, passes)[1]
+        layout = _pass(program, True, layout, ctx, passes)[0]
+        layout = _pass(program, False, layout, ctx, passes)[0]
         if layout == start:
             break
-    return layout
+    return tuple(ctx.qubits[p] for p in layout)
 
 
 def route(
@@ -467,18 +504,21 @@ def route(
 ) -> RoutedCircuit:
     """Route `circuit` from `layout`, inserting region-local SWAPs as 3 CNOTs.
 
-    `passes` is the memo of routing passes that `initial_layout` takes; a
-    forward pass from `layout` found there is not run again.
+    `passes` is the memo of routing passes that `initial_layout` takes; the
+    decisions of a forward pass from `layout` found there are replayed, not
+    made again.
     """
     if passes is None:
         passes = {}
     program = _program(circuit)
     ctx = _region_context(region, device)
     for l, p in enumerate(layout):
-        if p not in region.qubits:
+        if p not in ctx.index:
             raise CompileError(f"layout places logical {l} on {p}, outside the region")
-    ops, final_layout, swaps = _pass(program, True, tuple(layout), ctx, passes)
-    return RoutedCircuit(_materialize(program, ops), final_layout, swaps)
+    local = tuple(ctx.index[p] for p in layout)
+    final_layout, swaps, decisions = _pass(program, True, local, ctx, passes)
+    gates = _emit(program, local, decisions, ctx)
+    return RoutedCircuit(gates, tuple(ctx.qubits[p] for p in final_layout), swaps)
 
 
 def compile_on_region(circuit: Circuit, region: Region, device: DeviceGraph) -> Executable:

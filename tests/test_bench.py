@@ -982,6 +982,29 @@ def test_cli_orchestrate_refuses_nan_and_negative_timeouts(timeout, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run missing.exe.json", "bench --kind unit_size --suite wstate_n3 adder_n4 --out b"])
+def test_cli_run_and_bench_refuse_a_negative_seed_before_reading_a_file(command, tmp_path, capsys, monkeypatch):
+    # Numpy's seed sequences take no negative integer: `run` ended in a
+    # traceback, `bench` in an error naming no option after it had compiled.
+    monkeypatch.chdir(tmp_path)
+    argv = [*command.split(), "--device", "missing-device.json", "--shots", "16", "--seed", "-1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "--seed must be a non-negative integer, got -1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_orchestrate_takes_a_negative_seed(tmp_path, capsys):
+    # Only the random order uses it, and `random.Random` takes any integer.
+    out_dir = tmp_path / "compiled"
+    assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
+    out = tmp_path / "selection.json"
+    manifest = str(out_dir / "wstate_n3.process.json")
+    assert main(["orchestrate", manifest, "--strategy", "random", "--seed", "-1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["chosen"]
+
+
 def _rank1(path):
     """The rank-1 executable of the first process in a manifest or artifact."""
     return load_processes(str(path))[0].executables[0]

@@ -1,4 +1,4 @@
-"""Count what one compile_library pass allocates: Gate objects, routing ops, GC runs.
+"""Count what one compile_library pass does: routing passes, swap decisions, gates, GC runs.
 
 Run from the repository root:
 
@@ -6,8 +6,9 @@ Run from the repository root:
 
 Each line reports one pass of perfbench's compile_library workload: the
 versions compiled, the `Gate` objects built (and how many of them inside
-`compiler.route`, the rest being parsed source gates), the routing ops that
-`compiler._route_gates` returned, and the cyclic-GC collections started in
+`compiler.route`, the rest being parsed source gates), the routing passes
+`compiler._route_gates` ran and the swap decisions they made, the routed
+gates `compiler.route` emitted, and the cyclic-GC collections started in
 each generation. The counters wrap the functions in place, so the numbers
 are exact, but the timings of a counted run mean nothing. The workload
 writes its tables under the checkout's `.perfbench/`, so do not run this
@@ -22,7 +23,7 @@ sys.path.insert(0, ".")
 from perfbench import compile_library, tracing  # noqa: E402
 from qmux import circuits, compiler  # noqa: E402
 
-counts = dict.fromkeys(("gates", "in_route", "ops", "gen0", "gen1", "gen2"), 0)
+counts = dict.fromkeys(("gates", "in_route", "passes", "decisions", "emitted", "gen0", "gen1", "gen2"), 0)
 routing = False
 
 
@@ -40,18 +41,21 @@ def wrap_route(route):
         global routing
         routing = True
         try:
-            return route(*args, **kwargs)
+            routed = route(*args, **kwargs)
         finally:
             routing = False
+        counts["emitted"] += len(routed.gates)
+        return routed
 
     return counted
 
 
 def wrap_route_gates(route_gates):
     def counted(*args):
-        out = route_gates(*args)
-        counts["ops"] += len(out[0])
-        return out
+        final_layout, swaps, decisions = route_gates(*args)
+        counts["passes"] += 1
+        counts["decisions"] += len(decisions)
+        return final_layout, swaps, decisions
 
     return counted
 
@@ -73,7 +77,8 @@ def main(seed: int, passes: int) -> None:
         workload.run_pass()
         print(
             f"pass {i + 1}: versions {workload.versions_per_pass} gates {counts['gates']}"
-            f" (in route {counts['in_route']}) ops {counts['ops']}"
+            f" (in route {counts['in_route']}) passes {counts['passes']} decisions {counts['decisions']}"
+            f" emitted {counts['emitted']}"
             f" gc gen0 {counts['gen0']} gen1 {counts['gen1']} gen2 {counts['gen2']}"
         )
 
