@@ -506,15 +506,22 @@ def route(
 
     `passes` is the memo of routing passes that `initial_layout` takes; the
     decisions of a forward pass from `layout` found there are replayed, not
-    made again.
+    made again. A layout that does not place each logical qubit on its own
+    physical qubit of the region is refused before any pass runs.
     """
     if passes is None:
         passes = {}
+    if len(layout) != circuit.num_qubits:
+        raise CompileError(
+            f"{circuit.name!r} has {circuit.num_qubits} qubits but the layout places {len(layout)}"
+        )
     program = _program(circuit)
     ctx = _region_context(region, device)
     for l, p in enumerate(layout):
         if p not in ctx.index:
-            raise CompileError(f"layout places logical {l} on {p}, outside the region")
+            raise CompileError(f"{circuit.name!r}: layout places logical {l} on {p}, outside the region")
+        if layout.index(p) != l:
+            raise CompileError(f"{circuit.name!r}: layout places logical {layout.index(p)} and {l} both on {p}")
     local = tuple(ctx.index[p] for p in layout)
     final_layout, swaps, decisions = _pass(program, True, local, ctx, passes)
     gates = _emit(program, local, decisions, ctx)

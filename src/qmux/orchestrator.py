@@ -14,11 +14,12 @@ region is the union of its units, so there qubit-disjoint and unit-disjoint
 are the same.
 
 Claims are checked on integer bitmasks. Each region's qubit mask is
-computed once and cached on the region (`Process.claim_masks` lists them per
-version), so a stored table pays for them once across all requests. The
-selectors carry one int: the qubits blocked so far, the OR of every placed
-region's qubit mask and of the crosstalk map's flagged-partner masks of every
-placed qubit. A candidate is feasible iff its qubit mask misses it, which
+computed once and cached on the region (`Region.qubit_mask`), and each
+process caches its versions' masks in rank order (`Process.claim_masks`),
+so a stored table pays for them once across all requests. The selectors
+carry one int: the qubits blocked so far, the OR of every placed region's
+qubit mask and of the crosstalk map's flagged-partner masks of every placed
+qubit. A candidate is feasible iff its qubit mask misses it, which
 holds exactly when it shares no qubit with a placed region and no flagged
 link joins it to a placed qubit, so the selections are those of a check over
 claim sets and every flagged link.
@@ -28,8 +29,9 @@ neither selector computes one for the last slot it fills. The exact search
 revisits a region at every branch that places it, so it keeps a dict, made
 afresh for each call, from region qubits to partner mask: each distinct
 region is priced once per call, also when several slots offer it, as when
-one program fills two slots. Nothing is cached on the map, the regions or
-the processes.
+one program fills two slots. That dict is the only cache kept per request;
+the map caches one flagged-partner mask per qubit on a flagged link
+(`CrosstalkMap._partner_masks`), for as long as the map lives.
 """
 
 from __future__ import annotations
@@ -47,9 +49,12 @@ _DEFAULT_TIMEOUT_S = 10.0
 STRATEGIES = ("random", "small_first", "large_first", "brute_force")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Selection:
-    """One executable and its rank per request slot, in request order, and the search effort."""
+    """One executable and its rank per request slot, in request order, and the search effort.
+
+    A plain slotted record, built once per request: mutable and not hashable.
+    """
 
     executables: tuple[Executable, ...]
     ranks: tuple[int, ...]
@@ -82,18 +87,20 @@ class Selection:
         return view
 
 
-def _ordered(processes: list[Process], strategy: str, seed: int) -> list[tuple[int, Process]]:
-    """(slot, process) pairs in the order the strategy traverses them."""
-    order = list(enumerate(processes))
+def _ordered(processes: list[Process], strategy: str, seed: int) -> list[int]:
+    """Slot indices in the order the strategy traverses them."""
     if strategy == "random":
+        order = list(range(len(processes)))
         random.Random(seed).shuffle(order)
         return order
     # Stable sorts keep submission order between equal qubit counts.
     if strategy == "small_first":
-        return sorted(order, key=lambda slot: slot[1].num_qubits)
-    if strategy == "large_first":
-        return sorted(order, key=lambda slot: -slot[1].num_qubits)
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES[:3]}")
+        sizes = [p.num_qubits for p in processes]
+    elif strategy == "large_first":
+        sizes = [-p.num_qubits for p in processes]
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES[:3]}")
+    return sorted(range(len(sizes)), key=sizes.__getitem__)
 
 
 def select_heuristic(
@@ -116,8 +123,9 @@ def select_heuristic(
     blocked = 0
     evaluations = 0
     # No later slot reads the last slot's veto, so it is not computed.
-    last = order[-1][0] if order else None
-    for slot, proc in order:
+    last = order[-1] if order else None
+    for slot in order:
+        proc = processes[slot]
         for rank, qubits in enumerate(proc.claim_masks, start=1):
             if not qubits & blocked:
                 break
@@ -165,37 +173,45 @@ def select_brute_force(
 
     stack_rank: list[int] = []
     # Region qubit mask -> flagged-partner mask, filled at the region's first
-    # placement; it lives for this call only.
+    # placement; it lives for this call only, as do these bindings.
     partner_masks: dict[int, int] = {}
+    claim_masks = [p.claim_masks for p in processes]
+    perf_counter = time.perf_counter
+    last = n - 1
 
     def dfs(depth: int, partial: int, blocked: int) -> bool:
         """Returns True when the search should unwind due to timeout."""
         nonlocal best_vec, best_cost, evaluations, nodes, timed_out
         nodes += 1
-        if time.perf_counter() > deadline:
+        if perf_counter() > deadline:
             timed_out = True
             return True
-        if depth == n:
-            # One complete combination scored; the count stays under the
-            # product of the per-process version counts.
-            evaluations += 1
-            if best_vec is None or partial < best_cost:
-                best_vec = list(stack_rank)
-                best_cost = partial
-            return False
-        proc = processes[depth]
         # The cheapest completion gives every later slot its rank 1.
-        rest = n - depth - 1
-        for rank, qubits in enumerate(proc.claim_masks, start=1):
+        rest = last - depth
+        for rank, qubits in enumerate(claim_masks[depth], start=1):
             if best_vec is not None and partial + rank + rest >= best_cost:
                 break
             if qubits & blocked:
                 continue
+            if not rest:
+                # A complete leaf, entered here rather than by a call: one
+                # node, one deadline check, one combination scored. The bound
+                # let it in, so it beats the incumbent, and now it cuts every
+                # higher rank at this depth.
+                nodes += 1
+                if perf_counter() > deadline:
+                    timed_out = True
+                    return True
+                evaluations += 1
+                best_vec = [*stack_rank, rank]
+                best_cost = partial + rank
+                return False
             veto = blocked | qubits
-            if crosstalk is not None and rest:
+            if crosstalk is not None:
                 mask = partner_masks.get(qubits)
                 if mask is None:
-                    mask = partner_masks[qubits] = crosstalk.partners_of(proc.executables[rank - 1].region.qubits)
+                    region = processes[depth].executables[rank - 1].region
+                    mask = partner_masks[qubits] = crosstalk.partners_of(region.qubits)
                 veto |= mask
             stack_rank.append(rank)
             stop = dfs(depth + 1, partial + rank, veto)

@@ -124,6 +124,28 @@ def test_layout_outside_region_rejected():
         route(circuit, region, dev, bad)
 
 
+def _adder_on_rank_one_region(heavyhex27, ug27_m4):
+    circuit = load_benchmark("adder_n4")
+    region = compile_multi_version(circuit, ug27_m4).executables[0].region
+    return circuit, region, initial_layout(circuit, region, heavyhex27)
+
+
+def test_route_refuses_a_layout_of_the_wrong_length(heavyhex27, ug27_m4):
+    circuit, region, layout = _adder_on_rank_one_region(heavyhex27, ug27_m4)
+    for bad in (layout[:2], layout + layout[:1]):
+        with pytest.raises(CompileError, match=f"'adder_n4' has 4 qubits but the layout places {len(bad)}"):
+            route(circuit, region, heavyhex27, bad)
+
+
+def test_route_refuses_a_layout_that_repeats_a_qubit(heavyhex27, ug27_m4):
+    circuit, region, layout = _adder_on_rank_one_region(heavyhex27, ug27_m4)
+    p = layout[0]
+    with pytest.raises(CompileError, match=f"'adder_n4': layout places logical 0 and 1 both on {p}"):
+        route(circuit, region, heavyhex27, (p,) * 4)
+    with pytest.raises(CompileError, match=f"logical 1 and 3 both on {layout[1]}"):
+        route(circuit, region, heavyhex27, layout[:3] + layout[1:2])
+
+
 def test_swap_count_near_optimal_on_path():
     dev = make_path(4)
     region = _whole_device_region(dev)

@@ -5,14 +5,19 @@ executable (by program name and identity) and the rank of every request
 slot, in request order, the strategy, the number of evaluations and the
 timeout flag. A raised conflict or timeout must have the same type and
 message. The exact search's ranks must also equal those of the reference's
-unpruned walk, which scores every combination.
+unpruned walk, which scores every combination, and its node count must be
+the reference's per-node clock readings.
 """
 
+import itertools
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
 import reference_orchestrator as ref
+from qmux import orchestrator
 from qmux.benchmarks import load_benchmark, load_device, suite
 from qmux.circuits import Gate
 from qmux.compiler import Executable, Process, compile_multi_version
@@ -141,6 +146,67 @@ def test_vanilla_picks_match_reference(tables, cell):
     for request, _ in _requests(processes, unit_graph, f"vanilla/{cell}", False):
         for seed in (0, 1, 2):
             _assert_same(_select_vanilla, ref.select_vanilla, request, seed)
+
+
+def _counting_clock(monkeypatch, module):
+    """Count the readings of `module`'s clock, which still tells the real time."""
+    readings = [0]
+    perf_counter = time.perf_counter
+
+    def counted():
+        readings[0] += 1
+        return perf_counter()
+
+    monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=counted))
+    return readings
+
+
+def _nodes(processes, **kwargs):
+    try:
+        return select_brute_force(processes, **kwargs).nodes
+    except (OrchestrationConflict, OrchestrationTimeout) as exc:
+        return exc.nodes
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=[f"{d}-m{m}" for d, m in CELLS])
+def test_exact_nodes_match_reference_clock_readings(monkeypatch, tables, cell):
+    # The reference reads its clock at the start, once per node it enters and
+    # once at the end, so its readings less two are the nodes it entered.
+    device_name, m = cell
+    processes, unit_graph = tables[cell]
+    requests = [r for vetoed in (False, True) for r in _requests(processes, unit_graph, f"{device_name}/{m}", vetoed)]
+    requests += _repeated_requests(processes, unit_graph, f"repeated/{device_name}/{m}")
+    readings = _counting_clock(monkeypatch, ref)
+    ours = _counting_clock(monkeypatch, orchestrator)
+    refused = 0
+    for request, xtalk in requests:
+        readings[0] = ours[0] = 0
+        nodes = _nodes(request, timeout_s=60.0, crosstalk=xtalk)
+        refused += len(_outcome(ref.select_brute_force, request, timeout_s=60.0, crosstalk=xtalk)) == 2
+        assert nodes == readings[0] - 2 == ours[0] - 2
+    assert 0 < refused < len(requests)
+
+
+def _ticking_clock(monkeypatch, module):
+    """A clock that reads 0, 1, 2, ...: one tick per reading."""
+    ticks = itertools.count()
+    monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+
+
+def test_deadline_at_a_last_slot_leaf(monkeypatch):
+    # p1 rank 1 leaves p2 only its rank 3, a leaf of sum 4; p1 rank 2 and p2
+    # rank 1 sum to 3. The start reads 0, the root 1, p1 rank 1 2, the first
+    # leaf 3, p1 rank 2 4, and the second leaf 5, past the deadline of 4.5.
+    procs = [
+        Process(name, 2, tuple(_hand_exe(name, [u], [u]) for u in units))
+        for name, units in (("p1", [0, 1]), ("p2", [0, 0, 2]))
+    ]
+    _ticking_clock(monkeypatch, orchestrator)
+    sel = select_brute_force(procs, timeout_s=4.5)
+    assert (sel.ranks, sel.nodes, sel.evaluations, sel.timed_out) == ((1, 3), 5, 1, True)
+    _ticking_clock(monkeypatch, ref)
+    expected = ref.select_brute_force(procs, timeout_s=4.5)
+    assert (sel.ranks, sel.evaluations, sel.timed_out) == (expected.ranks, expected.evaluations, expected.timed_out)
 
 
 def _hand_exe(name, units, qubits):
