@@ -9,7 +9,7 @@ import sys
 
 from . import benchmarks, serialize
 from .circuits import parse_qasm
-from .compiler import Executable, compile_multi_version
+from .compiler import Executable, Process, compile_multi_version
 from .devices import DeviceGraph, load_calibration
 from .errors import QmuxError, TopologyMismatch
 from .harness import MODES, SWEEP_KINDS, cost_fidelity_correlation, run_sweep, simulate_slots
@@ -104,12 +104,13 @@ def _cmd_compile(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = os.path.join(args.out_dir, f"{process.program_name}.process.json")
     serialize.save_processes(manifest, [process])
+    # Each rank also alone: a manifest of one process that holds that one version.
     for rank, exe in enumerate(process.executables, start=1):
         unit_tag = "-".join(str(u) for u in sorted(exe.region.unit_ids))
         path = os.path.join(
             args.out_dir, f"{process.program_name}.r{rank}.units{unit_tag}.exe.json"
         )
-        serialize.save_executable(path, exe)
+        serialize.save_processes(path, [Process(process.program_name, process.num_qubits, (exe,))])
     print(
         f"{process.program_name}: {len(process.executables)} version(s) -> {manifest}",
         file=sys.stderr,
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("orchestrate", help="select conflict-free executables")
-    p.add_argument("manifests", nargs="+", help="process manifests or executable artifacts")
+    p.add_argument("manifests", nargs="+", help="process manifests or per-rank files")
     p.add_argument("--strategy", choices=STRATEGIES, default="small_first")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=10.0)
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_orchestrate)
 
     p = sub.add_parser("run", help="simulate executables under device noise")
-    p.add_argument("executables", nargs="+", help="artifacts or manifests; one slot per process")
+    p.add_argument("executables", nargs="+", help="process manifests or per-rank files; one slot per process")
     p.add_argument("--device", required=True)
     p.add_argument("--shots", type=int, default=2**14)
     p.add_argument("--seed", type=int, default=0)

@@ -115,11 +115,21 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _numbers(values, what: str) -> tuple:
+    """`values` as a tuple, refused unless each is a JSON number (not a string, true or false)."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not float and type(v) is not int:
+            raise TypeError(f"{what} must be a number, got {v!r}")
+    return values
+
+
 def load_calibration(path: str | Path) -> DeviceGraph:
     """Load a calibration JSON file into a validated DeviceGraph.
 
     Expected schema: num_qubits and link endpoints as JSON integers, links as
-    [a, b, error] triples, qubit_errors, readout_errors. This reads and
+    [a, b, error] triples, qubit_errors and readout_errors, every rate a JSON
+    number, and an optional string name. This reads and
     converts the fields; DeviceGraph checks ranges, duplicate links and
     connectivity. Every error after the read names the file.
     """
@@ -139,14 +149,17 @@ def load_calibration(path: str | Path) -> DeviceGraph:
                 what = f"endpoint of link {entry!r}"
                 key = _norm_link(_json_int(a, what), _json_int(b, what))
                 links.append(key)  # a repeat stays in `links`, where DeviceGraph refuses it
-                link_error[key] = float(err)
+                link_error[key] = float(_numbers((err,), f"error of link {entry!r}")[0])
+            name = raw.get("name", path.stem)
+            if type(name) is not str:
+                raise TypeError(f"device name must be a string, got {name!r}")
             return DeviceGraph(
                 num_qubits=_json_int(raw["num_qubits"], "num_qubits"),
                 links=tuple(sorted(links)),
                 link_error=link_error,
-                qubit_error=tuple(float(p) for p in raw["qubit_errors"]),
-                readout_error=tuple(float(p) for p in raw["readout_errors"]),
-                name=raw.get("name", path.stem),
+                qubit_error=tuple(map(float, _numbers(raw["qubit_errors"], "qubit error"))),
+                readout_error=tuple(map(float, _numbers(raw["readout_errors"], "readout error"))),
+                name=name,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CalibrationError(f"malformed calibration ({exc})") from exc

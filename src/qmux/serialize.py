@@ -3,11 +3,12 @@
 Lets compilation run once offline and selection consume the stored processes
 later, which is the whole point of splitting the two phases.
 
-A manifest (`qmux-processes-v2`) or an artifact (`qmux-executable-v2`) holds
-one top-level "gates" table of distinct [name, qubits, params] records, and
-each executable's "routed_gates" lists integer positions in it. A compiled
-table repeats few distinct gates many times, so the file is smaller and the
-loader checks and builds each distinct gate once.
+Every compiled table is a `qmux-processes-v2` manifest, also the per-rank
+file `qmux compile` writes, which holds one process of one executable. A
+manifest holds one top-level "gates" table of distinct [name, qubits, params]
+records, and each executable's "routed_gates" lists integer positions in it.
+A compiled table repeats few distinct gates many times, so the file is
+smaller and the loader checks and builds each distinct gate once.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import json
 
 from .circuits import Gate
 from .compiler import Executable, Process
-from .devices import CrosstalkMap, _json_int, read_json_object
+from .devices import CrosstalkMap, _json_int, _numbers, read_json_object
 from .errors import QmuxError, located
 from .orchestrator import Selection
 from .partition import Region
 
 _FORMAT = "qmux-processes-v2"
-_EXE_FORMAT = "qmux-executable-v2"
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
@@ -31,15 +31,6 @@ def _ints(values, what: str) -> tuple[int, ...]:
     for v in values:
         if type(v) is not int:
             _json_int(v, what)  # raises, with the message every loader shares
-    return values
-
-
-def _numbers(values, what: str) -> tuple:
-    """`values` as a tuple, refused unless each is a JSON number (not true or false)."""
-    values = tuple(values)
-    for v in values:
-        if type(v) is not float and type(v) is not int:
-            raise TypeError(f"{what} must be a number, got {v!r}")
     return values
 
 
@@ -127,13 +118,22 @@ def _executable_to_dict(exe: Executable, index: dict) -> dict:
     }
 
 
+def _count(value, what: str, least: int) -> int:
+    """`value`, refused unless it is a JSON integer of at least `least`."""
+    if _json_int(value, what) < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
+
+
 def _executable_from_dict(data: dict, gates: list[Gate], masks: list[int]) -> Executable:
     """Rebuild an executable, refusing what its record contradicts about itself.
 
-    This is the one check of a record: integer ids, routed-gate indices
-    inside the file's gate table, and layouts and routed gates that fit its
-    size and region. `gates` and `masks` are the file's gate table, from
-    `_gate_table`; every record of one file shares its Gate objects.
+    This is the one check of a record: a string name, integer ids and
+    counts, a numeric utility, routed-gate indices inside the file's gate
+    table, and layouts that place each logical qubit on its own qubit of the
+    region and routed gates that stay inside it. `gates` and `masks` are the
+    file's gate table, from `_gate_table`; every record of one file shares
+    its Gate objects.
     """
     try:
         region = Region(
@@ -141,6 +141,8 @@ def _executable_from_dict(data: dict, gates: list[Gate], masks: list[int]) -> Ex
             qubits=frozenset(_ints(data["region"]["qubits"], "region qubit")),
         )
         program_name = data["program_name"]
+        if type(program_name) is not str:
+            raise TypeError(f"program_name must be a string, got {program_name!r}")
         exe = Executable(
             program_name=program_name,
             num_qubits=_json_int(data["num_qubits"], "num_qubits"),
@@ -148,10 +150,10 @@ def _executable_from_dict(data: dict, gates: list[Gate], masks: list[int]) -> Ex
             layout=_ints(data["layout"], "layout entry"),
             final_layout=_ints(data["final_layout"], "final layout entry"),
             routed_gates=_routed_gates(data["routed_gates"], gates, masks, region, program_name),
-            swap_count=data["swap_count"],
-            d_in=data["d_in"],
-            d_out=data["d_out"],
-            region_utility=data["region_utility"],
+            swap_count=_count(data["swap_count"], "swap_count", 0),
+            d_in=_count(data["d_in"], "d_in", 1),
+            d_out=_count(data["d_out"], "d_out", 1),
+            region_utility=_numbers((data["region_utility"],), "region_utility")[0],
         )
         if not len(exe.layout) == len(exe.final_layout) == exe.num_qubits:
             raise QmuxError(
@@ -164,20 +166,33 @@ def _executable_from_dict(data: dict, gates: list[Gate], masks: list[int]) -> Ex
                 f"malformed executable record: {exe.program_name} lays out qubits "
                 f"{', '.join(map(str, sorted(outside)))} outside its region"
             )
+        for what, layout in (("layout", exe.layout), ("final layout", exe.final_layout)):
+            if len(set(layout)) < len(layout):
+                l, p = next((l, p) for l, p in enumerate(layout) if layout.index(p) != l)
+                raise QmuxError(
+                    f"malformed executable record: {exe.program_name}'s {what} places logical "
+                    f"{layout.index(p)} and {l} both on {p}"
+                )
         return exe
     except (KeyError, TypeError, ValueError) as exc:
         raise QmuxError(f"malformed executable record: {exc}") from exc
 
 
 def _process_from_dict(data: dict, gates: list[Gate], masks: list[int]) -> Process:
+    """Rebuild a process, refusing a version whose program or size is not its own."""
     try:
-        return Process(
-            program_name=data["program_name"],
-            num_qubits=_json_int(data["num_qubits"], "num_qubits"),
-            executables=tuple(_executable_from_dict(e, gates, masks) for e in data["executables"]),
-        )
+        program_name = data["program_name"]
+        num_qubits = _json_int(data["num_qubits"], "num_qubits")
+        executables = tuple(_executable_from_dict(e, gates, masks) for e in data["executables"])
     except (KeyError, TypeError) as exc:
         raise QmuxError(f"malformed process record: {exc}") from exc
+    for exe in executables:
+        if exe.program_name != program_name or exe.num_qubits != num_qubits:
+            raise QmuxError(
+                f"malformed process record: {program_name!r} of {num_qubits} qubits holds a "
+                f"version of {exe.program_name!r} of {exe.num_qubits} qubits"
+            )
+    return Process(program_name, num_qubits, executables)
 
 
 def save_processes(path: str, processes: list[Process]) -> None:
@@ -196,28 +211,16 @@ def save_processes(path: str, processes: list[Process]) -> None:
     _write_compact(path, {"format": _FORMAT, "gates": list(index), "processes": records})
 
 
-def save_executable(path: str, exe: Executable) -> None:
-    """Write a qmux-executable-v2 artifact: one record and its own gate table."""
-    index: dict = {}
-    record = _executable_to_dict(exe, index)
-    _write_compact(path, {"format": _EXE_FORMAT, "gates": list(index), **record})
-
-
 def load_processes(path: str) -> list[Process]:
-    """The processes of a qmux-processes-v2 manifest, or of a qmux-executable-v2
-    artifact: one process that holds the artifact's one executable.
+    """The processes of a qmux-processes-v2 manifest.
 
     Each gate record is checked and built once per file, so a file yields
     one Gate object per distinct gate."""
     payload = read_json_object(path)
-    kind = payload.get("format")
     with located(path):
-        if kind != _FORMAT and kind != _EXE_FORMAT:
-            raise QmuxError(f"not a {_EXE_FORMAT} or {_FORMAT} file")
+        if payload.get("format") != _FORMAT:
+            raise QmuxError(f"not a {_FORMAT} file")
         gates, masks = _gate_table(payload.get("gates"))
-        if kind == _EXE_FORMAT:
-            exe = _executable_from_dict(payload, gates, masks)
-            return [Process(exe.program_name, exe.num_qubits, (exe,))]
         records = payload.get("processes")
         if not isinstance(records, list):
             raise QmuxError('"processes" is not a list')
@@ -249,12 +252,14 @@ def selection_to_dict(selection: Selection) -> dict:
 
 
 def load_crosstalk_map(path: str) -> CrosstalkMap:
-    """Read {"flagged": [[a, b, factor], ...]}, qubit ids as JSON integers, into a CrosstalkMap."""
+    """Read {"flagged": [[a, b, factor], ...]}, qubit ids as JSON integers and
+    factors as JSON numbers, into a CrosstalkMap."""
     payload = read_json_object(path)
     with located(path):
         try:
             amplification = {
-                _ints((a, b), "flagged link qubit"): float(f) for a, b, f in payload["flagged"]
+                _ints((a, b), "flagged link qubit"): float(_numbers((f,), "crosstalk factor")[0])
+                for a, b, f in payload["flagged"]
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise QmuxError(f"malformed crosstalk map: {exc}") from exc

@@ -33,7 +33,6 @@ from qmux.partition import generate_compute_units
 from qmux.serialize import (
     load_crosstalk_map,
     load_processes,
-    save_executable,
     save_processes,
     selection_to_dict,
 )
@@ -384,14 +383,9 @@ def _write_crosstalk(tmp_path, amplification):
 
 def test_serialization_roundtrips(ug27_m4, tmp_path):
     process = compile_multi_version(load_benchmark("adder_n4"), ug27_m4)
-    exe = process.executables[0]
     manifest = tmp_path / "adder_n4.process.json"
     save_processes(str(manifest), [process])
     assert load_processes(str(manifest)) == [process]
-    # An artifact reads back as one process that holds its one executable.
-    artifact = tmp_path / "adder_n4.exe.json"
-    save_executable(str(artifact), exe)
-    assert load_processes(str(artifact)) == [Process("adder_n4", 4, (exe,))]
 
     xpath = _write_crosstalk(tmp_path, {(0, 1): 2.5, (5, 8): 4.0})
     assert load_crosstalk_map(str(xpath)) == CrosstalkMap({(0, 1): 2.5, (5, 8): 4.0})
@@ -471,28 +465,30 @@ def test_saved_table_is_the_gate_table_v2_text(small_table, tmp_path):
     save_processes(str(manifest), small_table)
     assert manifest.read_text() == json.dumps(payload, separators=(",", ":")) + "\n"
 
-    # An artifact holds its one record and a gate table of its own.
-    exe = small_table[0].executables[-1]
-    gates = []
-    exe_record = record(exe)
-    payload = {"format": "qmux-executable-v2", "gates": gates, **exe_record}
-    artifact = tmp_path / "one.exe.json"
-    save_executable(str(artifact), exe)
-    assert artifact.read_text() == json.dumps(payload, separators=(",", ":")) + "\n"
+
+def test_compile_writes_each_rank_as_a_one_process_manifest(ug27_m4, tmp_path):
+    process = compile_multi_version(load_benchmark("adder_n4"), ug27_m4)
+    assert main(["compile", "adder_n4", "--device", "heavyhex27", "-m", "4", "-o", str(tmp_path)]) == 0
+    assert load_processes(str(tmp_path / "adder_n4.process.json")) == [process]
+    for rank, exe in enumerate(process.executables, start=1):
+        units = "-".join(map(str, sorted(exe.region.unit_ids)))
+        path = tmp_path / f"adder_n4.r{rank}.units{units}.exe.json"
+        assert json.loads(path.read_text())["format"] == "qmux-processes-v2"
+        assert load_processes(str(path)) == [Process("adder_n4", 4, (exe,))]
+    assert len(list(tmp_path.iterdir())) == 1 + len(process.executables)
 
 
 def _file_with(tmp_path, process, edit, fmt="manifest"):
-    """A one-process manifest, or with fmt="artifact" its last executable's
-    artifact, edited by `edit(gate_table, last_executable_record)`."""
+    """A manifest of `process`, or with fmt="artifact" the per-rank file
+    `qmux compile` writes for its last executable (a manifest of one process
+    that holds that one executable, with a gate table of its own), edited by
+    `edit(gate_table, last_executable_record)`."""
     path = tmp_path / "bad.json"
     if fmt == "artifact":
-        save_executable(str(path), process.executables[-1])
-        payload = json.loads(path.read_text())
-        edit(payload["gates"], payload)
-    else:
-        save_processes(str(path), [process])
-        payload = json.loads(path.read_text())
-        edit(payload["gates"], payload["processes"][0]["executables"][-1])
+        process = Process(process.program_name, process.num_qubits, process.executables[-1:])
+    save_processes(str(path), [process])
+    payload = json.loads(path.read_text())
+    edit(payload["gates"], payload["processes"][0]["executables"][-1])
     return _write(path, json.dumps(payload))
 
 
@@ -646,6 +642,45 @@ def test_loaders_refuse_repeated_operands_after_valid_records(tmp_path, ug27_m4)
             load_processes(path)
 
 
+def _repeat_second(key):
+    """An edit that puts logical qubit 0 of a record's `key` layout on logical 1's qubit."""
+    return lambda _, r: r[key].__setitem__(0, r[key][1])
+
+
+# (edit, the start of the error message after "malformed executable record: ")
+BAD_RECORD_FIELDS = {
+    # Logical qubits 0 and 1 on one physical qubit would read the same outcome.
+    "repeated-layout": (_repeat_second("layout"), "wstate_n3's layout places logical 0 and 1 both on "),
+    "repeated-final-layout": (_repeat_second("final_layout"), "wstate_n3's final layout places logical 0 and 1 both on "),
+    "program-name-list": (lambda _, r: r.update(program_name=["wstate_n3"]), "program_name must be a string, got ['wstate_n3']"),
+    "swap-count-negative": (lambda _, r: r.update(swap_count=-1), "swap_count must be at least 0, got -1"),
+    "swap-count-float": (lambda _, r: r.update(swap_count=2.0), "swap_count must be an integer, got 2.0"),
+    "d-in-bool": (lambda _, r: r.update(d_in=True), "d_in must be an integer, got True"),
+    "d-in-zero": (lambda _, r: r.update(d_in=0), "d_in must be at least 1, got 0"),
+    "d-out-negative": (lambda _, r: r.update(d_out=-3), "d_out must be at least 1, got -3"),
+    "region-utility-bool": (lambda _, r: r.update(region_utility=True), "region_utility must be a number, got True"),
+    "region-utility-null": (lambda _, r: r.update(region_utility=None), "region_utility must be a number, got None"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_RECORD_FIELDS.values(), ids=BAD_RECORD_FIELDS)
+@pytest.mark.parametrize("fmt", ["manifest", "artifact"])
+def test_loaders_refuse_bad_record_fields(tmp_path, ug27_m4, fmt, edit, message):
+    process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+    path = _file_with(tmp_path, process, edit, fmt)
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: malformed executable record: {re.escape(message)}"):
+        load_processes(path)
+
+
+def test_loader_refuses_a_version_of_another_program(tmp_path, small_table):
+    adder, wstate = small_table
+    path = str(tmp_path / "mixed.json")
+    save_processes(path, [Process("wstate_n3", 3, wstate.executables + adder.executables[:1])])
+    message = "malformed process record: 'wstate_n3' of 3 qubits holds a version of 'adder_n4' of 4 qubits"
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+        load_processes(path)
+
+
 # (file content or None for no file, the start of the error message after the path)
 BAD_FILES = [
     (None, "cannot read"),
@@ -663,17 +698,13 @@ ONE_QUBIT_RECORD = {
 ONE_QUBIT_GATES = [["ry", [0], [0.5]]]
 # The same record as a v1 file wrote it, each routed gate inline.
 V1_RECORD = ONE_QUBIT_RECORD | {"routed_gates": ONE_QUBIT_GATES}
-NOT_V2 = "not a qmux-executable-v2 or qmux-processes-v2 file"
+NOT_V2 = "not a qmux-processes-v2 file"
 
 
 def _manifest_of(record, gates=ONE_QUBIT_GATES, **process):
     """A manifest of one process that holds `record`, with `process` replacing process fields."""
     process = {"program_name": "p", "num_qubits": 1, "executables": [record]} | process
     return json.dumps({"format": "qmux-processes-v2", "gates": gates, "processes": [process]})
-
-
-def _artifact_of(record, gates=ONE_QUBIT_GATES):
-    return json.dumps({"format": "qmux-executable-v2", "gates": gates} | record)
 
 
 BAD_MANIFESTS = [
@@ -684,7 +715,8 @@ BAD_MANIFESTS = [
     pytest.param(json.dumps(V1_RECORD | {"format": "qmux-executable-v1"}), NOT_V2, id="v1-artifact"),
     ('{"format": "qmux-processes-v3"}', NOT_V2),
     ('{"format": "qmux-processes-v2"}', '"gates" is not a list'),
-    ('{"format": "qmux-executable-v2", "gates": {}}', '"gates" is not a list'),
+    # An artifact of the retired one-executable format; compile it again.
+    (json.dumps({"format": "qmux-executable-v2", "gates": ONE_QUBIT_GATES} | ONE_QUBIT_RECORD), NOT_V2),
     ('{"format": "qmux-processes-v2", "gates": []}', '"processes" is not a list'),
     ('{"format": "qmux-processes-v2", "gates": [], "processes": 3}', '"processes" is not a list'),
     ('{"format": "qmux-processes-v2", "gates": [], "processes": [[1]]}', "malformed process record"),
@@ -704,20 +736,53 @@ BAD_MANIFESTS = [
         id="process-num-qubits-float",
     ),
     pytest.param(
-        _artifact_of(ONE_QUBIT_RECORD, gates=[["ry", [0], ["abc"]]]),
+        _manifest_of(ONE_QUBIT_RECORD, gates=[["ry", [0], ["abc"]]]),
         "malformed gate record: gate param must be a number, got 'abc'",
         id="param-string",
     ),
     pytest.param(
-        _artifact_of(ONE_QUBIT_RECORD | {"num_qubits": 1.0}),
+        _manifest_of(ONE_QUBIT_RECORD | {"num_qubits": 1.0}),
         "malformed executable record: num_qubits must be an integer, got 1.0",
         id="num-qubits-float",
     ),
+    pytest.param(
+        _manifest_of(ONE_QUBIT_RECORD | {"program_name": 5}, program_name=5),
+        "malformed executable record: program_name must be a string, got 5",
+        id="program-name-int",
+    ),
+    pytest.param(
+        _manifest_of(ONE_QUBIT_RECORD | {"swap_count": "abc"}),
+        "malformed executable record: swap_count must be an integer, got 'abc'",
+        id="swap-count-string",
+    ),
+    pytest.param(
+        _manifest_of(ONE_QUBIT_RECORD | {"d_out": "x"}),
+        "malformed executable record: d_out must be an integer, got 'x'",
+        id="d-out-string",
+    ),
+    pytest.param(
+        _manifest_of(ONE_QUBIT_RECORD | {"d_out": 0}),
+        "malformed executable record: d_out must be at least 1, got 0",
+        id="d-out-zero",
+    ),
+    pytest.param(
+        _manifest_of(ONE_QUBIT_RECORD | {"region_utility": "1.0"}),
+        "malformed executable record: region_utility must be a number, got '1.0'",
+        id="region-utility-string",
+    ),
+    pytest.param(
+        _manifest_of(ONE_QUBIT_RECORD, program_name="other", num_qubits=99),
+        "malformed process record: 'other' of 99 qubits holds a version of 'p' of 1 qubits",
+        id="process-of-another-program",
+    ),
 ]
-# (crosstalk map content, the error message after the path)
+# (crosstalk map content, the error message after the path): qubit ids, then factors.
 BAD_CROSSTALK_MAPS = [
     (json.dumps({"flagged": [entry]}), f"malformed crosstalk map: flagged link qubit must be an integer, got {bad}")
     for entry, bad in (([15.5, 18, 3.0], "15.5"), ([15, 18.0, 3.0], "18.0"), ([True, 18, 3.0], "True"))
+] + [
+    (json.dumps({"flagged": [[15, 18, f]]}), f"malformed crosstalk map: crosstalk factor must be a number, got {f!r}")
+    for f in ("3", True, False)
 ]
 
 
@@ -737,8 +802,13 @@ def test_loaders_reject_unreadable_files(tmp_path, loader, content, message):
         loader(path)
 
 
-@pytest.mark.parametrize("content, message", BAD_CROSSTALK_MAPS, ids=["fraction", "float", "bool"])
+@pytest.mark.parametrize(
+    "content, message",
+    BAD_CROSSTALK_MAPS,
+    ids=["fraction", "float", "bool", "factor-string", "factor-true", "factor-false"],
+)
 def test_crosstalk_map_refuses_non_integer_ids(tmp_path, content, message):
+    # And factors that are not JSON numbers.
     path = _write(tmp_path / "xtalk.json", content)
     with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
         load_crosstalk_map(path)
@@ -790,6 +860,7 @@ def test_cli_bad_crosstalk_map_fails_cleanly(tmp_path, capsys):
         assert not out.exists()
 
 
+HEAVYHEX27_LINKS = json.loads(device_path("heavyhex27").read_text())["links"]
 # A directory, raw bytes, or heavyhex27's calibration with these fields replaced.
 BAD_CALIBRATIONS = {
     "directory": (None, "cannot read"),
@@ -802,6 +873,18 @@ BAD_CALIBRATIONS = {
     "num-qubits-bool": ({"num_qubits": True}, "malformed calibration (num_qubits must be an integer, got True)"),
     "link-id-fraction": ({"links": [[0.5, 1, 0.01]]}, "malformed calibration (endpoint of link [0.5, 1, 0.01]"),
     "link-error-range": ({"links": [[0, 1, 1.5]]}, "probability out of range on link"),
+    # Rates and the name are refused by type, with every other field as bundled.
+    "link-error-string": (
+        {"links": [[*HEAVYHEX27_LINKS[0][:2], "0.01"], *HEAVYHEX27_LINKS[1:]]},
+        f"malformed calibration (error of link {[*HEAVYHEX27_LINKS[0][:2], '0.01']!r} must be a number, got '0.01')",
+    ),
+    "link-error-bool": (
+        {"links": [[*HEAVYHEX27_LINKS[0][:2], True], *HEAVYHEX27_LINKS[1:]]},
+        f"malformed calibration (error of link {[*HEAVYHEX27_LINKS[0][:2], True]!r} must be a number, got True)",
+    ),
+    "qubit-error-false": ({"qubit_errors": [False] * 27}, "malformed calibration (qubit error must be a number, got False)"),
+    "readout-error-string": ({"readout_errors": ["3"] * 27}, "malformed calibration (readout error must be a number, got '3')"),
+    "name-int": ({"name": 5}, "malformed calibration (device name must be a string, got 5)"),
 }
 
 
@@ -823,12 +906,13 @@ def test_bad_calibration_fails_cleanly(tmp_path, capsys, content, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["num_qubits", "layout", "gate"])
+@pytest.mark.parametrize("case", ["num_qubits", "layout", "gate", "repeated-final-layout"])
 def test_cli_run_refuses_artifact_outside_its_region(tmp_path, capsys, heavyhex27, case):
     out_dir = tmp_path / "compiled"
     assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
     (artifact,) = out_dir.glob("wstate_n3.r1.*.exe.json")
-    record = json.loads(artifact.read_text())
+    payload = json.loads(artifact.read_text())
+    record = payload["processes"][0]["executables"][0]
     region = set(record["region"]["qubits"])
     if case == "num_qubits":
         record["num_qubits"] += 1
@@ -836,12 +920,17 @@ def test_cli_run_refuses_artifact_outside_its_region(tmp_path, capsys, heavyhex2
     elif case == "layout":
         record["layout"] = [99, 98, 97]
         message = "lays out qubits 97, 98, 99 outside its region"
+    elif case == "repeated-final-layout":
+        # Every logical bit on one qubit would read that qubit's outcome.
+        q = record["final_layout"][0]
+        record["final_layout"] = [q, q, q]
+        message = f"malformed executable record: wstate_n3's final layout places logical 0 and 1 both on {q}"
     else:
         # A device link from the region to a qubit outside it passes the link check.
         a, b = next((a, b) for a, b in heavyhex27.links if (a in region) != (b in region))
-        _route_new(record["gates"], record, ["cx", [a, b], []])
+        _route_new(payload["gates"], record, ["cx", [a, b], []])
         message = f"routed cx on qubits {a}, {b} leaves its region"
-    artifact.write_text(json.dumps(record))
+    artifact.write_text(json.dumps(payload))
     capsys.readouterr()
     out = tmp_path / "run.json"
     assert main(["run", str(artifact), "--device", "heavyhex27", "--shots", "64", "--out", str(out)]) == 1
@@ -1006,7 +1095,7 @@ def test_cli_orchestrate_takes_a_negative_seed(tmp_path, capsys):
 
 
 def _rank1(path):
-    """The rank-1 executable of the first process in a manifest or artifact."""
+    """The rank-1 executable of the first process in a manifest."""
     return load_processes(str(path))[0].executables[0]
 
 
@@ -1114,7 +1203,7 @@ def test_cli_run_rejects_one_program_twice_on_shared_qubits(tmp_path, capsys):
     ]
     first, second, shared = next(p for p in pairs if p[2])
     out = tmp_path / "run.json"
-    # One artifact given twice overlaps itself everywhere.
+    # One per-rank file given twice overlaps itself everywhere.
     twice = _rank1(first).region.qubits
     for paths, overlap in (((first, second), shared), ((first, first), twice)):
         capsys.readouterr()
@@ -1127,7 +1216,7 @@ def test_cli_run_rejects_one_program_twice_on_shared_qubits(tmp_path, capsys):
 
 
 def _run_on_other_device(tmp_path, capsys, compiled_for, run_on):
-    """Compile wstate_n3 for one device, run its rank-1 artifact on another; (exe, status, stderr, out)."""
+    """Compile wstate_n3 for one device, run its rank-1 file on another; (exe, status, stderr, out)."""
     out_dir = tmp_path / compiled_for
     assert main(["compile", "wstate_n3", "--device", compiled_for, "-m", "4", "-o", str(out_dir)]) == 0
     (artifact,) = out_dir.glob("wstate_n3.r1.*.exe.json")
@@ -1200,7 +1289,7 @@ def test_cli_orchestrate_reads_artifacts_and_refuses_gates_leaving_the_region(tm
     assert main(["compile", "wstate_n3", "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
     (artifact,) = out_dir.glob("wstate_n3.r1.*.exe.json")
     out = tmp_path / "selection.json"
-    # An artifact is a process with one version.
+    # A per-rank file is a manifest of one process with one version.
     assert main(["orchestrate", str(artifact), "--out", str(out)]) == 0
     chosen = json.loads(out.read_text())["chosen"]
     assert [(c["program_name"], c["index"]) for c in chosen] == [("wstate_n3", 1)]
