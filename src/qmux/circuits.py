@@ -4,6 +4,13 @@ The IR is deliberately small: a circuit is an ordered tuple of gates over a
 single qubit register. Depth is defined on the dependency DAG where two gates
 conflict iff they share an operand; barriers synchronize every qubit they
 span and measures occupy a layer like any other gate.
+
+`Gate` is the one check of a gate, for the QASM parser and the table loader
+alike: a known name, its arity, distinct operands, and finite parameters on
+the parametric one-qubit gates only. The parser checks only what the source
+text says (statements, registers, operand indices, parameter expressions),
+builds `Gate`s, and reports a refused gate as a QasmError at its statement's
+line.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -34,6 +42,7 @@ SINGLE_QUBIT_GATES = {
     "tdg": 0,
 }
 TWO_QUBIT_GATES = ("cx", "swap")
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,12 @@ class Gate:
                 raise CircuitError("barrier must span at least one qubit")
         else:
             raise CircuitError(f"unknown gate {self.name!r}")
+        if self.params:
+            if self.name not in SINGLE_QUBIT_GATES:
+                raise CircuitError(f"{self.name} takes no parameters")
+            for p in self.params:
+                if not abs(p) <= _FLOAT_MAX:  # NaN, infinities and ints past float range
+                    raise CircuitError(f"{self.name} parameter {p} is not a finite float")
 
     @property
     def is_two_qubit(self) -> bool:
@@ -213,7 +228,10 @@ def _eval_param(text: str, line: int) -> float:
             return left**right
         raise QasmError(f"unsupported term in parameter {text.strip()!r}", line)
 
-    return walk(tree)
+    try:
+        return walk(tree)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise QasmError(f"cannot evaluate parameter {text.strip()!r} ({exc})", line) from None
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
@@ -241,82 +259,66 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
             raise QasmError(f"operand {reg}[{i}] outside register of size {qreg[1]}", line)
         return [i]
 
-    for stmt, line in _statements(_strip_comments(text)):
-        stmt = re.sub(r"\s+", " ", stmt)
-        if stmt.startswith("OPENQASM"):
-            version = stmt.split(None, 1)[1] if " " in stmt else ""
-            if version.strip() != "2.0":
-                raise QasmError(f"unsupported OPENQASM version {version.strip()!r}", line)
-            continue
-        if stmt.startswith("include"):
-            if '"qelib1.inc"' not in stmt:
-                raise QasmError(f"unsupported include {stmt!r}", line)
-            continue
-        m = _QREG_RE.match(stmt)
-        if m:
-            if qreg is not None:
-                raise QasmError("multiple quantum registers are not supported", line)
-            qreg = (m.group(1), int(m.group(2)))
-            if qreg[1] < 1:
-                raise QasmError("empty quantum register", line)
-            continue
-        m = _CREG_RE.match(stmt)
-        if m:
-            if creg is not None:
-                raise QasmError("multiple classical registers are not supported", line)
-            creg = (m.group(1), int(m.group(2)))
-            continue
-        m = _MEASURE_RE.match(stmt)
-        if m:
-            if qreg is None:
-                raise QasmError("measure before qreg declaration", line)
-            qs = qubit_of(m.group(1) + ("" if m.group(2) is None else f"[{m.group(2)}]"), line)
-            if creg is None or m.group(3) != creg[0]:
-                raise QasmError(f"unknown classical register {m.group(3)!r}", line)
-            for q in qs:
-                gates.append(Gate("measure", (q,)))
-            continue
-        m = _APP_RE.match(stmt)
-        if not m:
-            raise QasmError(f"cannot parse statement {stmt!r}", line)
-        head, params_text, args_text = m.group(1), m.group(2), m.group(3)
-        if head == "barrier":
-            if qreg is None:
-                raise QasmError("barrier before qreg declaration", line)
-            spanned: list[int] = []
-            for tok in args_text.split(","):
-                spanned.extend(qubit_of(tok, line))
-            gates.append(Gate("barrier", tuple(dict.fromkeys(spanned))))
-            continue
-        if head in SINGLE_QUBIT_GATES:
-            want = SINGLE_QUBIT_GATES[head]
-            params = tuple(
-                _eval_param(p, line) for p in (params_text.split(",") if params_text else [])
-            )
-            if len(params) != want:
-                raise QasmError(f"{head} takes {want} parameter(s), got {len(params)}", line)
-            targets = [q for tok in args_text.split(",") for q in qubit_of(tok, line)]
-            for q in targets:
-                gates.append(Gate(head, (q,), params))
-            continue
-        if head in TWO_QUBIT_GATES:
-            if params_text:
-                raise QasmError(f"{head} takes no parameters", line)
-            toks = args_text.split(",")
-            if len(toks) != 2:
-                raise QasmError(f"{head} takes exactly two operands", line)
-            (a,), (b,) = (qubit_of(toks[0], line), qubit_of(toks[1], line))
-            if a == b:
-                raise QasmError(f"{head} operands must be distinct", line)
-            gates.append(Gate(head, (a, b)))
-            continue
-        if head in _KNOWN_UNSUPPORTED:
-            raise QasmError(f"unsupported construct {head!r}", line)
-        raise QasmError(f"unsupported statement {stmt!r}", line)
-
-    if qreg is None:
-        raise QasmError("program declares no quantum register")
+    line = None
     try:
+        for stmt, line in _statements(_strip_comments(text)):
+            stmt = re.sub(r"\s+", " ", stmt)
+            if stmt.startswith("OPENQASM"):
+                version = stmt.split(None, 1)[1] if " " in stmt else ""
+                if version.strip() != "2.0":
+                    raise QasmError(f"unsupported OPENQASM version {version.strip()!r}", line)
+                continue
+            if stmt.startswith("include"):
+                if '"qelib1.inc"' not in stmt:
+                    raise QasmError(f"unsupported include {stmt!r}", line)
+                continue
+            m = _QREG_RE.match(stmt)
+            if m:
+                if qreg is not None:
+                    raise QasmError("multiple quantum registers are not supported", line)
+                qreg = (m.group(1), int(m.group(2)))
+                if qreg[1] < 1:
+                    raise QasmError("empty quantum register", line)
+                continue
+            m = _CREG_RE.match(stmt)
+            if m:
+                if creg is not None:
+                    raise QasmError("multiple classical registers are not supported", line)
+                creg = (m.group(1), int(m.group(2)))
+                continue
+            m = _MEASURE_RE.match(stmt)
+            if m:
+                qs = qubit_of(m.group(1) + ("" if m.group(2) is None else f"[{m.group(2)}]"), line)
+                if creg is None or m.group(3) != creg[0]:
+                    raise QasmError(f"unknown classical register {m.group(3)!r}", line)
+                for q in qs:
+                    gates.append(Gate("measure", (q,)))
+                continue
+            m = _APP_RE.match(stmt)
+            if not m:
+                raise QasmError(f"cannot parse statement {stmt!r}", line)
+            head, params_text, args_text = m.groups()
+            if head != "barrier" and head not in SINGLE_QUBIT_GATES and head not in TWO_QUBIT_GATES:
+                if head in _KNOWN_UNSUPPORTED:
+                    raise QasmError(f"unsupported construct {head!r}", line)
+                raise QasmError(f"unsupported statement {stmt!r}", line)
+            params = tuple(_eval_param(p, line) for p in params_text.split(",")) if params_text else ()
+            toks = args_text.split(",")
+            qubits = [q for tok in toks for q in qubit_of(tok, line)]
+            if head == "barrier":
+                gates.append(Gate(head, tuple(dict.fromkeys(qubits)), params))
+            elif head in SINGLE_QUBIT_GATES:  # one gate per qubit of every operand
+                for q in qubits:
+                    gates.append(Gate(head, (q,), params))
+            elif len(qubits) != len(toks):  # an operand without an index spans its register
+                tok = next(tok for tok in toks if "[" not in tok)
+                raise QasmError(f"{head} operand {tok.strip()!r} is a whole register", line)
+            else:
+                gates.append(Gate(head, tuple(qubits), params))
+
+        if qreg is None:
+            raise QasmError("program declares no quantum register")
+        line = None  # the circuit's own checks span statements
         return Circuit(name, qreg[1], tuple(gates), creg[1] if creg else 0)
     except CircuitError as exc:
-        raise QasmError(str(exc)) from exc
+        raise QasmError(str(exc), line) from exc

@@ -9,9 +9,9 @@ import sys
 
 from . import benchmarks, serialize
 from .circuits import parse_qasm
-from .compiler import Executable, Process, compile_multi_version
+from .compiler import Process, compile_multi_version
 from .devices import DeviceGraph, load_calibration
-from .errors import QmuxError, TopologyMismatch
+from .errors import QmuxError
 from .harness import MODES, SWEEP_KINDS, cost_fidelity_correlation, run_sweep, simulate_slots
 from .orchestrator import STRATEGIES, select_brute_force, select_heuristic
 from .partition import enumerate_regions, generate_compute_units
@@ -34,25 +34,6 @@ def _load_program(spec: str):
     if spec in benchmarks.suite():
         return benchmarks.load_benchmark(spec)
     raise QmuxError(f"no such program file or bundled benchmark: {spec!r}")
-
-
-def _check_topology(exe: Executable, device: DeviceGraph) -> None:
-    """Refuse an executable whose region qubits or routed links `device` does not have.
-
-    The loader has already kept every routed gate inside its region."""
-    outside = sorted(q for q in exe.region.qubits if q >= device.num_qubits)
-    if outside:
-        raise TopologyMismatch(
-            f"{exe.program_name}: region qubits {', '.join(map(str, outside))} are not on "
-            f"{device.name}, which has {device.num_qubits} qubits"
-        )
-    for g in exe.routed_gates:
-        if g.is_two_qubit and not device.has_link(*g.qubits):
-            a, b = g.qubits
-            raise TopologyMismatch(
-                f"{exe.program_name}: routed {g.name} on qubits {a} and {b} needs a link "
-                f"that {device.name} does not have"
-            )
 
 
 def _check_seed(seed: int) -> None:
@@ -149,8 +130,6 @@ def _cmd_run(args) -> int:
         executables = list(processes[0].executables)
     else:
         executables = [p.executables[0] for p in processes]  # one slot per process, at rank 1
-    for exe in executables:
-        _check_topology(exe, device)
     # Versions of one program are alternatives and each runs alone; slots co-run,
     # so one program may co-run with itself.
     seeds = range(args.seed, args.seed + len(executables))

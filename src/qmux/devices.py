@@ -94,11 +94,17 @@ class DeviceGraph:
         return _norm_link(a, b) in self.link_error
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json_object(path: str | Path) -> dict:
-    """The JSON object stored at `path`; any other content, or no file, raises QmuxError."""
+    """The JSON object stored at `path`; any other content, or no file, raises QmuxError.
+
+    NaN, Infinity and -Infinity are not JSON, though json.load reads them as floats."""
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise QmuxError(f"{path}: cannot read ({exc.strerror})") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text

@@ -535,7 +535,6 @@ def run_sweep(
     concurrencies: Sequence[int] = (2, 4, 6, 8, 10),
     sigmas: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
     crosstalk_seed: int = 7,
-    workers: int = 1,
 ) -> SweepReport:
     """Run one parameter sweep and collect one experiment report per swept value.
 
@@ -572,7 +571,7 @@ def run_sweep(
 
     base = dict(unit_size=unit_size, mode=mode, strategy=strategy, shots=shots, seed=seed)
     reports = {
-        float(param): FidelityExperiment(device, **(base | overrides)).run(groups, workers=workers)
+        float(param): FidelityExperiment(device, **(base | overrides)).run(groups)
         for param, groups, overrides in points
     }
     return SweepReport(kind=kind, device_name=device.name, reports=reports)

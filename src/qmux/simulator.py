@@ -41,7 +41,7 @@ import numpy as np
 from .circuits import Circuit
 from .compiler import Executable
 from .devices import CrosstalkMap, DeviceGraph
-from .errors import SimulationError
+from .errors import SimulationError, TopologyMismatch
 
 _MAX_QUBITS = 14
 _PROB_FLOOR = 1e-16
@@ -353,15 +353,23 @@ def _error_sites(
     sites = []
     ops = (g for g in executable.routed_gates if g.name not in ("barrier", "measure"))
     for gi, g in enumerate(ops):
-        if g.name == "cx":
-            link = tuple(sorted(g.qubits))
-            if link not in factors:
-                factors[link] = _crosstalk_factor(link, noise)
-            p = min(device.error_of(*g.qubits) * factors[link], _ERROR_CAP)
-        elif len(g.qubits) == 1:
+        if len(g.qubits) == 1:
             p = device.qubit_error[g.qubits[0]]
         else:
-            p = 0.0
+            link = tuple(sorted(g.qubits))
+            error = device.link_error.get(link)
+            if error is None:
+                a, b = g.qubits
+                raise TopologyMismatch(
+                    f"{executable.program_name}: routed {g.name} on qubits {a} and {b} needs a link "
+                    f"that {device.name} does not have"
+                )
+            if g.name == "cx":
+                if link not in factors:
+                    factors[link] = _crosstalk_factor(link, noise)
+                p = min(error * factors[link], _ERROR_CAP)
+            else:
+                p = 0.0
         if p > 0.0:
             sites.append((gi, tuple(loc[q] for q in g.qubits), p))
     return sites
@@ -462,7 +470,16 @@ def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph
     qubit's readout error. Outcomes are reported in logical register order,
     and `stats` on the result counts the trajectories, batches and error
     events. Deterministic for a fixed (executable, NoiseSpec, device).
+
+    An executable whose region has qubits, or whose routed gates need links,
+    that `device` lacks raises TopologyMismatch.
     """
+    if executable.region.qubit_mask >> device.num_qubits:
+        outside = sorted(q for q in executable.region.qubits if q >= device.num_qubits)
+        raise TopologyMismatch(
+            f"{executable.program_name}: region qubits {', '.join(map(str, outside))} are not on "
+            f"{device.name}, which has {device.num_qubits} qubits"
+        )
     order, loc = _local_frame(executable)
     t = len(order)
     if t > _MAX_QUBITS:

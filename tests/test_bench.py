@@ -332,7 +332,6 @@ def test_sweep_rows_match_direct_experiments(kind, heavyhex27):
         concurrencies=(2, 3),
         sigmas=(0.0, 0.1),
         crosstalk_seed=crosstalk_seed,
-        workers=1,
     )
     expected = [
         (param, [_comparable(r) for r in report.records])
@@ -642,6 +641,24 @@ def test_loaders_refuse_repeated_operands_after_valid_records(tmp_path, ug27_m4)
             load_processes(path)
 
 
+# (gate table entry, the error message after the path): refused by the read or by Gate.
+REFUSED_GATE_PARAMS = {
+    "cx-param": (["cx", [0, 1], [0.5]], "cx takes no parameters"),
+    "nan": (["ry", [0], [float("nan")]], "not valid JSON (NaN is not a JSON number)"),
+    "infinity": (["ry", [0], [float("inf")]], "not valid JSON (Infinity is not a JSON number)"),
+    "past-float-range": (["ry", [0], [10**400]], f"ry parameter {10**400} is not a finite float"),
+}
+
+
+@pytest.mark.parametrize("entry, message", REFUSED_GATE_PARAMS.values(), ids=REFUSED_GATE_PARAMS)
+def test_loaders_refuse_params_a_gate_cannot_take(tmp_path, ug27_m4, entry, message):
+    process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
+    for fmt in ("manifest", "artifact"):
+        path = _file_with(tmp_path, process, lambda t, _: t.append(entry), fmt)
+        with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+            load_processes(path)
+
+
 def _repeat_second(key):
     """An edit that puts logical qubit 0 of a record's `key` layout on logical 1's qubit."""
     return lambda _, r: r[key].__setitem__(0, r[key][1])
@@ -741,6 +758,16 @@ BAD_MANIFESTS = [
         id="param-string",
     ),
     pytest.param(
+        _manifest_of(ONE_QUBIT_RECORD, gates=[["ry", [0], [float("nan")]]]),
+        "not valid JSON (NaN is not a JSON number)",
+        id="param-nan",
+    ),
+    pytest.param(
+        _manifest_of(ONE_QUBIT_RECORD, gates=[["cx", [0, 1], [0.5]]]),
+        "cx takes no parameters",
+        id="cx-param",
+    ),
+    pytest.param(
         _manifest_of(ONE_QUBIT_RECORD | {"num_qubits": 1.0}),
         "malformed executable record: num_qubits must be an integer, got 1.0",
         id="num-qubits-float",
@@ -783,6 +810,9 @@ BAD_CROSSTALK_MAPS = [
 ] + [
     (json.dumps({"flagged": [[15, 18, f]]}), f"malformed crosstalk map: crosstalk factor must be a number, got {f!r}")
     for f in ("3", True, False)
+] + [
+    (json.dumps({"flagged": [[15, 18, f], [14, 16, 2.5]]}), f"not valid JSON ({word} is not a JSON number)")
+    for f, word in ((float("nan"), "NaN"), (float("inf"), "Infinity"), (-float("inf"), "-Infinity"))
 ]
 
 
@@ -805,7 +835,8 @@ def test_loaders_reject_unreadable_files(tmp_path, loader, content, message):
 @pytest.mark.parametrize(
     "content, message",
     BAD_CROSSTALK_MAPS,
-    ids=["fraction", "float", "bool", "factor-string", "factor-true", "factor-false"],
+    ids=["fraction", "float", "bool", "factor-string", "factor-true", "factor-false",
+         "factor-nan", "factor-infinity", "factor-minus-infinity"],
 )
 def test_crosstalk_map_refuses_non_integer_ids(tmp_path, content, message):
     # And factors that are not JSON numbers.

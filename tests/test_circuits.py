@@ -51,6 +51,19 @@ def test_parse_errors_are_positioned_and_named():
         parse_qasm(HEADER + "qreg q[2];\nqreg r[2];")
     with pytest.raises(QasmError, match="outside register"):
         parse_qasm(HEADER + "qreg q[2];\ncx q[0],q[5];")
+    # Gate's refusals, the parameter arithmetic and a register where a qubit is due.
+    for stmt, message in (
+        ("cx q, q[1];", "cx operand 'q' is a whole register"),
+        ("rx(pi/0) q[0];", "cannot evaluate parameter 'pi/0'"),
+        ("rx(10.0**400) q[0];", "cannot evaluate parameter '10.0**400'"),
+        ("rx(1e999) q[0];", "rx parameter inf is not a finite float"),
+        ("rx(1e999-1e999) q[0];", "rx parameter nan is not a finite float"),
+        ("barrier(1) q;", "barrier takes no parameters"),
+        ("cx(0.5) q[0],q[1];", "cx takes no parameters"),
+        ("cx q[0],q[0];", "cx has repeated operands (0, 0)"),
+    ):
+        with pytest.raises(QasmError, match=f"^line 4: {re.escape(message)}"):
+            parse_qasm(HEADER + "qreg q[2];\n" + stmt)
 
 
 def test_measure_only_at_end():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmux.benchmarks import load_benchmark
 from qmux.circuits import Circuit, Gate
-from qmux.compiler import compile_on_region
+from qmux.compiler import compile_multi_version, compile_on_region
 from qmux.devices import CrosstalkMap, DeviceGraph
-from qmux.errors import SimulationError
+from qmux.errors import SimulationError, TopologyMismatch
 from qmux.partition import enumerate_regions, generate_compute_units
 from qmux.simulator import (
     Distribution,
@@ -128,6 +129,21 @@ def test_crosstalk_amplification_hurts():
         dev,
     )
     assert fidelity(ideal, loud) < fidelity(ideal, quiet)
+
+
+def test_noisy_simulation_refuses_an_executable_of_another_device(heavyhex27, ug65_m4):
+    # heavyhex65 versions of wstate_n3: one whose region leaves heavyhex27, one
+    # inside its 27 qubits whose routed cx needs a link heavyhex27 lacks.
+    versions = compile_multi_version(load_benchmark("wstate_n3"), ug65_m4).executables
+    beyond = next(e for e in versions if max(e.region.qubits) >= heavyhex27.num_qubits)
+    outside = ", ".join(str(q) for q in sorted(beyond.region.qubits) if q >= heavyhex27.num_qubits)
+    inside = next(e for e in versions if max(e.region.qubits) < heavyhex27.num_qubits)
+    a, b = next(g.qubits for g in inside.routed_gates if g.is_two_qubit and not heavyhex27.has_link(*g.qubits))
+    noise = NoiseSpec(shots=64)
+    with pytest.raises(TopologyMismatch, match=f"^wstate_n3: region qubits {outside} are not on heavyhex27, "):
+        simulate_noisy(beyond, noise, heavyhex27)
+    with pytest.raises(TopologyMismatch, match=f"^wstate_n3: routed cx on qubits {a} and {b} needs a link "):
+        simulate_noisy(inside, noise, heavyhex27)
 
 
 def test_fidelity_worked_examples():
