@@ -10,7 +10,9 @@ alike: a known name, its arity, distinct operands, and finite parameters on
 the parametric one-qubit gates only. The parser checks only what the source
 text says (statements, registers, operand indices, parameter expressions),
 builds `Gate`s, and reports a refused gate as a QasmError at its statement's
-line.
+line. Every operand, quantum or classical, goes through one reader that
+checks its register and index; parameter expressions may nest parentheses,
+and one too deep to evaluate is refused.
 """
 
 from __future__ import annotations
@@ -148,11 +150,10 @@ def decompose_swaps(circuit: Circuit) -> Circuit:
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(r"^creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
-_APP_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\(([^)]*)\))?\s*(.*)$", re.DOTALL)
+# Parameters run to the statement's last ")", so they may nest parentheses.
+_APP_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*(.*)$", re.DOTALL)
 _OPERAND_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?$")
-_MEASURE_RE = re.compile(
-    r"^measure\s+([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?\s*->\s*([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?$"
-)
+_MEASURE_RE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
 
 _KNOWN_UNSUPPORTED = (
     "gate", "if", "reset", "opaque", "gatedef",
@@ -165,29 +166,19 @@ def _strip_comments(text: str) -> str:
 
 
 def _statements(text: str):
-    """Yield (statement, line) pairs; line is where the statement starts."""
-    buf: list[str] = []
+    """Yield (statement, line) pairs; line is that of the statement's first
+    non-blank character."""
+    *chunks, tail = text.split(";")
     line = 1
-    start: int | None = None
-    for ch in text:
-        if ch == ";":
-            stmt = "".join(buf).strip()
-            if stmt:
-                yield stmt, start if start is not None else line
-            buf = []
-            start = None
-        else:
-            if ch.strip():
-                if start is None:
-                    start = line
-                buf.append(ch)
-            elif buf:
-                buf.append(ch)
-            if ch == "\n":
-                line += 1
-    tail = "".join(buf).strip()
-    if tail:
-        raise QasmError(f"unterminated statement {tail[:40]!r}", start or line)
+    for chunk in chunks:
+        stmt = chunk.strip()
+        if stmt:
+            yield stmt, line + chunk.count("\n", 0, chunk.index(stmt[0]))
+        line += chunk.count("\n")
+    stmt = tail.strip()
+    if stmt:
+        line += tail.count("\n", 0, tail.index(stmt[0]))
+        raise QasmError(f"unterminated statement {stmt[:40]!r}", line)
 
 
 # CPython 3.11's AST constructor keeps one depth counter per interpreter, so
@@ -197,11 +188,7 @@ _PARSE_LOCK = threading.Lock()
 
 def _eval_param(text: str, line: int) -> float:
     """Evaluate a parameter expression of numbers, pi, + - * / ** and parens."""
-    try:
-        with _PARSE_LOCK:
-            tree = ast.parse(text.strip(), mode="eval")
-    except SyntaxError:
-        raise QasmError(f"bad parameter expression {text.strip()!r}", line) from None
+    text = text.strip()
 
     def walk(node) -> float:
         if isinstance(node, ast.Expression):
@@ -226,12 +213,18 @@ def _eval_param(text: str, line: int) -> float:
             if isinstance(node.op, ast.Div):
                 return left / right
             return left**right
-        raise QasmError(f"unsupported term in parameter {text.strip()!r}", line)
+        raise QasmError(f"unsupported term in parameter {text!r}", line)
 
     try:
+        with _PARSE_LOCK:
+            tree = ast.parse(text, mode="eval")
         return walk(tree)
+    except SyntaxError:
+        raise QasmError(f"bad parameter expression {text!r}", line) from None
     except (ZeroDivisionError, OverflowError) as exc:
-        raise QasmError(f"cannot evaluate parameter {text.strip()!r} ({exc})", line) from None
+        raise QasmError(f"cannot evaluate parameter {text!r} ({exc})", line) from None
+    except RecursionError:  # from the parser or from walk, on a very long expression
+        raise QasmError(f"parameter expression {text[:40]!r}... nests too deeply", line) from None
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
@@ -245,18 +238,19 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     creg: tuple[str, int] | None = None
     gates: list[Gate] = []
 
-    def qubit_of(token: str, line: int) -> list[int]:
+    def operand_of(token: str, reg: tuple[str, int] | None, kind: str, line: int) -> list[int]:
+        """The indices `token` names in `reg`, the program's one register of `kind`."""
         m = _OPERAND_RE.match(token.strip())
         if not m:
             raise QasmError(f"bad operand {token.strip()!r}", line)
-        reg, idx = m.group(1), m.group(2)
-        if qreg is None or reg != qreg[0]:
-            raise QasmError(f"unknown quantum register {reg!r}", line)
+        name, idx = m.groups()
+        if reg is None or name != reg[0]:
+            raise QasmError(f"unknown {kind} register {name!r}", line)
         if idx is None:
-            return list(range(qreg[1]))
+            return list(range(reg[1]))
         i = int(idx)
-        if i >= qreg[1]:
-            raise QasmError(f"operand {reg}[{i}] outside register of size {qreg[1]}", line)
+        if i >= reg[1]:
+            raise QasmError(f"operand {name}[{i}] outside register of size {reg[1]}", line)
         return [i]
 
     line = None
@@ -288,9 +282,10 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
                 continue
             m = _MEASURE_RE.match(stmt)
             if m:
-                qs = qubit_of(m.group(1) + ("" if m.group(2) is None else f"[{m.group(2)}]"), line)
-                if creg is None or m.group(3) != creg[0]:
-                    raise QasmError(f"unknown classical register {m.group(3)!r}", line)
+                qs = operand_of(m.group(1), qreg, "quantum", line)
+                bits = operand_of(m.group(2), creg, "classical", line)
+                if len(qs) != len(bits):
+                    raise QasmError(f"measure of {len(qs)} qubit(s) into {len(bits)} bit(s)", line)
                 for q in qs:
                     gates.append(Gate("measure", (q,)))
                 continue
@@ -304,7 +299,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
                 raise QasmError(f"unsupported statement {stmt!r}", line)
             params = tuple(_eval_param(p, line) for p in params_text.split(",")) if params_text else ()
             toks = args_text.split(",")
-            qubits = [q for tok in toks for q in qubit_of(tok, line)]
+            qubits = [q for tok in toks for q in operand_of(tok, qreg, "quantum", line)]
             if head == "barrier":
                 gates.append(Gate(head, tuple(dict.fromkeys(qubits)), params))
             elif head in SINGLE_QUBIT_GATES:  # one gate per qubit of every operand

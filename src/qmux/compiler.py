@@ -494,6 +494,20 @@ def initial_layout(
     return tuple(ctx.qubits[p] for p in layout)
 
 
+def check_layout(
+    program_name: str, what: str, layout: tuple[int, ...], num_qubits: int, region_qubits: Collection[int]
+) -> None:
+    """Refuse a layout, named `what` in the message, unless it places each of
+    `num_qubits` logical qubits on its own qubit of the region."""
+    if len(layout) != num_qubits:
+        raise CompileError(f"{program_name!r} has {num_qubits} qubits but the {what} places {len(layout)}")
+    for l, p in enumerate(layout):
+        if p not in region_qubits:
+            raise CompileError(f"{program_name!r}: {what} places logical {l} on {p}, outside the region")
+        if layout.index(p) != l:
+            raise CompileError(f"{program_name!r}: {what} places logical {layout.index(p)} and {l} both on {p}")
+
+
 def route(
     circuit: Circuit,
     region: Region,
@@ -511,17 +525,9 @@ def route(
     """
     if passes is None:
         passes = {}
-    if len(layout) != circuit.num_qubits:
-        raise CompileError(
-            f"{circuit.name!r} has {circuit.num_qubits} qubits but the layout places {len(layout)}"
-        )
+    check_layout(circuit.name, "layout", layout, circuit.num_qubits, region.qubits)
     program = _program(circuit)
     ctx = _region_context(region, device)
-    for l, p in enumerate(layout):
-        if p not in ctx.index:
-            raise CompileError(f"{circuit.name!r}: layout places logical {l} on {p}, outside the region")
-        if layout.index(p) != l:
-            raise CompileError(f"{circuit.name!r}: layout places logical {layout.index(p)} and {l} both on {p}")
     local = tuple(ctx.index[p] for p in layout)
     final_layout, swaps, decisions = _pass(program, True, local, ctx, passes)
     gates = _emit(program, local, decisions, ctx)

@@ -53,6 +53,9 @@ class DeviceGraph:
                 raise CalibrationError(f"link {key} has no error rate")
             if not (0.0 < err < 1.0):
                 raise CalibrationError(f"probability out of range on link {key}: {err}")
+        extra = self.link_error.keys() - seen
+        if extra:
+            raise CalibrationError(f"error rate given for {min(extra)}, which is not a link")
         if len(self.qubit_error) != n or len(self.readout_error) != n:
             raise CalibrationError("per-qubit error arrays must have one entry per qubit")
         for label, rates in (("qubit", self.qubit_error), ("readout", self.readout_error)):

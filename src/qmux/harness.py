@@ -312,7 +312,8 @@ class FidelityExperiment:
                 cached = exc
             self._processes[name] = cached
         if isinstance(cached, CompileError):
-            raise cached
+            # A fresh error each call: re-raising the cached one would grow its traceback.
+            raise CompileError(*cached.args)
         return cached
 
     def ideal_for(self, name: str) -> Distribution:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 
 from .circuits import Gate
-from .compiler import Executable, Process
+from .compiler import Executable, Process, check_layout
 from .devices import CrosstalkMap, _json_int, _numbers, read_json_object
-from .errors import QmuxError, located
+from .errors import CompileError, QmuxError, located
 from .orchestrator import Selection
 from .partition import Region
 
@@ -130,10 +130,10 @@ def _executable_from_dict(data: dict, gates: list[Gate], masks: list[int]) -> Ex
 
     This is the one check of a record: a string name, integer ids and
     counts, a numeric utility, routed-gate indices inside the file's gate
-    table, and layouts that place each logical qubit on its own qubit of the
-    region and routed gates that stay inside it. `gates` and `masks` are the
-    file's gate table, from `_gate_table`; every record of one file shares
-    its Gate objects.
+    table, routed gates that stay inside the region, and layouts that pass
+    `check_layout`, the rule `route` applies to its input layout. `gates`
+    and `masks` are the file's gate table, from `_gate_table`; every record
+    of one file shares its Gate objects.
     """
     try:
         region = Region(
@@ -155,26 +155,10 @@ def _executable_from_dict(data: dict, gates: list[Gate], masks: list[int]) -> Ex
             d_out=_count(data["d_out"], "d_out", 1),
             region_utility=_numbers((data["region_utility"],), "region_utility")[0],
         )
-        if not len(exe.layout) == len(exe.final_layout) == exe.num_qubits:
-            raise QmuxError(
-                f"malformed executable record: {exe.program_name} has {exe.num_qubits} qubits "
-                f"but layouts of {len(exe.layout)} and {len(exe.final_layout)}"
-            )
-        outside = set(exe.layout + exe.final_layout) - region.qubits
-        if outside:
-            raise QmuxError(
-                f"malformed executable record: {exe.program_name} lays out qubits "
-                f"{', '.join(map(str, sorted(outside)))} outside its region"
-            )
         for what, layout in (("layout", exe.layout), ("final layout", exe.final_layout)):
-            if len(set(layout)) < len(layout):
-                l, p = next((l, p) for l, p in enumerate(layout) if layout.index(p) != l)
-                raise QmuxError(
-                    f"malformed executable record: {exe.program_name}'s {what} places logical "
-                    f"{layout.index(p)} and {l} both on {p}"
-                )
+            check_layout(program_name, what, layout, exe.num_qubits, region.qubits)
         return exe
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, CompileError) as exc:
         raise QmuxError(f"malformed executable record: {exc}") from exc
 
 

@@ -12,7 +12,7 @@ from qmux.benchmarks import device_path, load_benchmark, load_device
 from qmux.cli import main
 from qmux.compiler import Process, compile_multi_version
 from qmux.devices import CrosstalkMap, VariationModel, apply_variation, load_calibration
-from qmux.errors import QmuxError
+from qmux.errors import CompileError, QmuxError
 from qmux.harness import (
     MODES,
     SWEEP_KINDS,
@@ -37,6 +37,7 @@ from qmux.serialize import (
     selection_to_dict,
 )
 
+from conftest import make_path
 from oracles import crosstalk_violations
 
 CSV_SCHEMA = [
@@ -157,6 +158,30 @@ def test_failures_recorded_not_dropped(trio):
     assert success_ratio(flamenco) == pytest.approx(
         1 - len(failures) / len(flamenco.records)
     )
+
+
+def _traceback_depth(exc: BaseException) -> int:
+    depth, tb = 0, exc.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
+def test_process_for_raises_a_fresh_error_for_an_unfittable_program():
+    # qaoa_n6 needs 6 qubits in 3 units of 2, which a 5-qubit line lacks.
+    experiment = FidelityExperiment(make_path(5), 2, shots=16, seed=0)
+
+    def depth():
+        with pytest.raises(CompileError, match="^no feasible region for 'qaoa_n6'") as info:
+            experiment.process_for("qaoa_n6")
+        return _traceback_depth(info.value)
+
+    first = depth()
+    assert [depth() for _ in range(3)] == [first] * 3
+    groups = [BenchmarkGroup(i, ("wstate_n3", "qaoa_n6")) for i in range(5)]
+    records = experiment.run(groups).records
+    assert all(r.error.startswith("compile: no feasible region for 'qaoa_n6'") for r in records)
+    assert depth() == first
 
 
 def test_oracle_mode_bypasses_orchestration(trio):
@@ -667,8 +692,8 @@ def _repeat_second(key):
 # (edit, the start of the error message after "malformed executable record: ")
 BAD_RECORD_FIELDS = {
     # Logical qubits 0 and 1 on one physical qubit would read the same outcome.
-    "repeated-layout": (_repeat_second("layout"), "wstate_n3's layout places logical 0 and 1 both on "),
-    "repeated-final-layout": (_repeat_second("final_layout"), "wstate_n3's final layout places logical 0 and 1 both on "),
+    "repeated-layout": (_repeat_second("layout"), "'wstate_n3': layout places logical 0 and 1 both on "),
+    "repeated-final-layout": (_repeat_second("final_layout"), "'wstate_n3': final layout places logical 0 and 1 both on "),
     "program-name-list": (lambda _, r: r.update(program_name=["wstate_n3"]), "program_name must be a string, got ['wstate_n3']"),
     "swap-count-negative": (lambda _, r: r.update(swap_count=-1), "swap_count must be at least 0, got -1"),
     "swap-count-float": (lambda _, r: r.update(swap_count=2.0), "swap_count must be an integer, got 2.0"),
@@ -858,8 +883,8 @@ def test_loaders_name_the_file_in_record_errors(tmp_path, ug27_m4, loader, form)
     else:
         process = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4)
         path = _file_with(tmp_path, process, lambda _, r: r.update(num_qubits=r["num_qubits"] + 1), form)
-        message = "malformed executable record: wstate_n3 has 4 qubits"
-    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}"):
+        message = "malformed executable record: 'wstate_n3' has 4 qubits but the layout places 3"
+    with pytest.raises(QmuxError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
         loader(path)
 
 
@@ -947,15 +972,15 @@ def test_cli_run_refuses_artifact_outside_its_region(tmp_path, capsys, heavyhex2
     region = set(record["region"]["qubits"])
     if case == "num_qubits":
         record["num_qubits"] += 1
-        message = f"has {record['num_qubits']} qubits but layouts of 3 and 3"
+        message = f"malformed executable record: 'wstate_n3' has {record['num_qubits']} qubits but the layout places 3"
     elif case == "layout":
         record["layout"] = [99, 98, 97]
-        message = "lays out qubits 97, 98, 99 outside its region"
+        message = "malformed executable record: 'wstate_n3': layout places logical 0 on 99, outside the region"
     elif case == "repeated-final-layout":
         # Every logical bit on one qubit would read that qubit's outcome.
         q = record["final_layout"][0]
         record["final_layout"] = [q, q, q]
-        message = f"malformed executable record: wstate_n3's final layout places logical 0 and 1 both on {q}"
+        message = f"malformed executable record: 'wstate_n3': final layout places logical 0 and 1 both on {q}"
     else:
         # A device link from the region to a qubit outside it passes the link check.
         a, b = next((a, b) for a, b in heavyhex27.links if (a in region) != (b in region))

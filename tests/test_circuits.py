@@ -1,5 +1,6 @@
 """Parser, depth, and gate-list behavior."""
 
+import math
 import re
 import sys
 import threading
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmux.benchmarks import benchmark_path, load_benchmark
-from qmux.circuits import Circuit, Gate, decompose_swaps, gate_list_depth, parse_qasm
+from qmux.circuits import Circuit, Gate, _statements, decompose_swaps, gate_list_depth, parse_qasm
 from qmux.errors import CircuitError, QasmError
 
 from oracles import layered_depth, qasm_text
@@ -61,9 +62,50 @@ def test_parse_errors_are_positioned_and_named():
         ("barrier(1) q;", "barrier takes no parameters"),
         ("cx(0.5) q[0],q[1];", "cx takes no parameters"),
         ("cx q[0],q[0];", "cx has repeated operands (0, 0)"),
+        # Both sides of a measure are operands, checked alike.
+        ("creg c[2]; measure q[0] -> c[5];", "operand c[5] outside register of size 2"),
+        ("creg c[3]; measure q -> c;", "measure of 2 qubit(s) into 3 bit(s)"),
+        ("rx(" + "+".join(["1"] * 1000) + ") q[0];", f"parameter expression '{'1+' * 20}'... nests too deeply"),
     ):
         with pytest.raises(QasmError, match=f"^line 4: {re.escape(message)}"):
             parse_qasm(HEADER + "qreg q[2];\n" + stmt)
+
+
+def test_parameters_may_nest_parentheses():
+    c = parse_qasm(HEADER + "qreg q[1];\nrx((pi)/2) q[0];\nu3(pi/2,(pi+1)*2,0) q[0];")
+    assert [g.params for g in c.gates] == [(math.pi / 2,), (math.pi / 2, (math.pi + 1) * 2, 0.0)]
+
+
+_blank = st.text(alphabet=" \t\n", max_size=4)
+# A statement starts and ends with a non-blank character and may span lines.
+_statement = st.lists(
+    st.tuples(st.sampled_from(["h", "q[0]", "cx", "rz(pi/2)"]), st.sampled_from([" ", "\n", " \n\t"])),
+    min_size=1,
+    max_size=3,
+).map(lambda parts: "".join(word + sep for word, sep in parts).rstrip())
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(_blank, st.none() | _statement, _blank)), _blank, st.none() | _statement)
+def test_statements_start_on_the_line_of_their_first_character(pieces, before_tail, tail):
+    # Each piece is blanks, an optional statement and blanks before its ";",
+    # so pieces without a statement make runs of ";".
+    text, expected = "", []
+    for before, stmt, after in pieces:
+        text += before
+        if stmt is not None:
+            expected.append((stmt, text.count("\n") + 1))
+            text += stmt
+        text += after + ";"
+    text += before_tail
+    if tail is None:
+        assert list(_statements(text)) == expected
+    else:
+        line = text.count("\n") + 1
+        found = []
+        with pytest.raises(QasmError, match=f"^line {line}: unterminated statement") as info:
+            found.extend(_statements(text + tail + " \n"))
+        assert found == expected and info.value.line == line
 
 
 def test_measure_only_at_end():

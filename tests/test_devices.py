@@ -69,6 +69,12 @@ def test_load_rejects_disconnected_missing_and_duplicate(tmp_path):
         load_calibration(_write(tmp_path, dup))
 
 
+def test_device_refuses_an_error_rate_for_a_pair_that_is_not_a_link():
+    rates = {(0, 1): 0.01, (1, 2): 0.01, (0, 2): 0.01}
+    with pytest.raises(CalibrationError, match=r"^error rate given for \(0, 2\), which is not a link$"):
+        DeviceGraph(3, ((0, 1), (1, 2)), rates, (0.001,) * 3, (0.02,) * 3)
+
+
 def test_bundled_heavy_hex_link_counts(heavyhex27, heavyhex65):
     assert heavyhex27.num_qubits == 27
     assert len(heavyhex27.links) == 28
