@@ -155,24 +155,18 @@ def _cmd_bench(args) -> int:
     unknown = sorted(set(suite) - set(benchmarks.suite()))
     if unknown:
         raise QmuxError(f"no bundled benchmark named {', '.join(unknown)}")
-    try:
-        report = run_sweep(
-            args.kind,
-            device,
-            suite,
-            unit_size=args.unit_size,
-            group_size=args.group_size,
-            group_count=args.groups,
-            shots=args.shots,
-            seed=args.seed,
-            mode=args.mode,
-            strategy=args.strategy,
-        )
-    except ValueError as exc:
-        # Group generation rejects a suite too small for the requested groups,
-        # and the experiment a shot count below 1, before anything compiles.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = run_sweep(
+        args.kind,
+        device,
+        suite,
+        unit_size=args.unit_size,
+        group_size=args.group_size,
+        group_count=args.groups,
+        shots=args.shots,
+        seed=args.seed,
+        mode=args.mode,
+        strategy=args.strategy,
+    )
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     report.write_csv(csv_path)

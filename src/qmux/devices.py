@@ -23,6 +23,25 @@ def _norm_link(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _components(nodes: set[int], adj) -> list[list[int]]:
+    """Connected components of the induced subgraph, each sorted, in index order."""
+    seen: set[int] = set()
+    comps: list[list[int]] = []
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u in nodes and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
 @dataclass(frozen=True)
 class DeviceGraph:
     """Connected undirected graph of physical qubits with calibration data."""
@@ -64,20 +83,8 @@ class DeviceGraph:
                     raise CalibrationError(
                         f"probability out of range in {label} error of qubit {q}: {p}"
                     )
-        if n > 1:
-            if not self._connected():
-                raise CalibrationError("device topology is disconnected")
-
-    def _connected(self) -> bool:
-        adj = self.adjacency
-        seen = {0}
-        stack = [0]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.num_qubits
+        if len(_components(set(range(n)), self.adjacency)) > 1:
+            raise CalibrationError("device topology is disconnected")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

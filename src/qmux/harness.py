@@ -84,9 +84,9 @@ class BenchmarkGroup:
 
     def __post_init__(self):
         if len(self.members) < 2:
-            raise ValueError(f"group {self.group_id} has {len(self.members)} member(s); need 2+")
+            raise QmuxError(f"group {self.group_id} has {len(self.members)} member(s); need 2+")
         if len(set(self.members)) != len(self.members):
-            raise ValueError(f"group {self.group_id} repeats a member")
+            raise QmuxError(f"group {self.group_id} repeats a member")
 
     @property
     def size(self) -> int:
@@ -99,12 +99,12 @@ def generate_groups(
     """Seeded sampling of `count` distinct size-`size` subsets of the suite."""
     names = list(suite)
     if size > len(names):
-        raise ValueError(f"group size {size} exceeds suite size {len(names)}")
+        raise QmuxError(f"group size {size} exceeds suite size {len(names)}")
     if count < 1:
-        raise ValueError("need at least one group")
+        raise QmuxError("need at least one group")
     possible = math.comb(len(names), size)
     if count > possible:
-        raise ValueError(f"only {possible} distinct groups of size {size} exist, not {count}")
+        raise QmuxError(f"only {possible} distinct groups of size {size} exist, not {count}")
     rng = random.Random(seed)
     seen: set[tuple[str, ...]] = set()
     groups: list[BenchmarkGroup] = []
@@ -129,7 +129,7 @@ def nested_prefix_groups(
     """
     sizes = sorted(set(sizes))
     if not sizes or sizes[0] < 2:
-        raise ValueError("sizes must all be at least 2")
+        raise QmuxError("sizes must all be at least 2")
     masters = generate_groups(suite, sizes[-1], count, seed)
     # Master members arrive sorted; reshuffle each so prefixes are not biased
     # toward the alphabetical front of the suite.
@@ -197,7 +197,7 @@ class ExperimentReport:
 def success_ratio(report: ExperimentReport) -> float:
     """Fraction of evaluated groups that co-ran conflict-free to completion."""
     if not report.records:
-        raise ValueError("report has no records")
+        raise QmuxError("report has no records")
     return len(report.successes()) / len(report.records)
 
 
@@ -285,11 +285,11 @@ class FidelityExperiment:
         sim_device: DeviceGraph | None = None,
     ):
         if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+            raise QmuxError(f"unknown mode {mode!r}; expected one of {MODES}")
         if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+            raise QmuxError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         if shots < 1:
-            raise ValueError(f"shots must be at least 1, got {shots}")
+            raise QmuxError(f"shots must be at least 1, got {shots}")
         self.device = device
         self.unit_size = unit_size
         self.mode = mode
@@ -547,7 +547,7 @@ def run_sweep(
                  on (param 1), same sampled crosstalk map.
     """
     if kind not in SWEEP_KINDS:
-        raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
+        raise QmuxError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
     # (param, groups, experiment options that differ from the base) per point.
     if kind == "concurrency":
         nested = nested_prefix_groups(suite_names, concurrencies, group_count, seed)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .compiler import Executable, Process
 from .devices import CrosstalkMap
-from .errors import OrchestrationConflict, OrchestrationTimeout
+from .errors import OrchestrationConflict, OrchestrationTimeout, QmuxError
 
 _DEFAULT_TIMEOUT_S = 10.0
 
@@ -99,7 +99,7 @@ def _ordered(processes: list[Process], strategy: str, seed: int) -> list[int]:
     elif strategy == "large_first":
         sizes = [-p.num_qubits for p in processes]
     else:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES[:3]}")
+        raise QmuxError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES[:3]}")
     return sorted(range(len(sizes)), key=sizes.__getitem__)
 
 

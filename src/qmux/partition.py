@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .devices import DeviceGraph, utilities
+from .devices import DeviceGraph, _components, utilities
 from .errors import PartitionError
 
 
@@ -65,25 +65,6 @@ class Region:
         for q in self.qubits:
             mask |= 1 << q
         return mask
-
-
-def _components(nodes: set[int], adj) -> list[list[int]]:
-    """Connected components of the induced subgraph, each sorted, in index order."""
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u in nodes and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
 
 
 def _partition_graph(nodes, adj, weight_of, size) -> list[list[int]]:

@@ -1,6 +1,6 @@
 """Dense statevector simulation, with and without device noise.
 
-The ideal path evolves the full statevector and reads the measurement
+The ideal paths evolve the full statevector and read the measurement
 distribution off the amplitudes. The noisy path is a per-shot trajectory
 sampler: after every gate a depolarizing error may fire (qubit error rate for
 one-qubit gates, link error rate for CNOTs, optionally amplified by
@@ -15,6 +15,10 @@ first error. The stack is allocated once per batch with a row for every
 pattern, and each gate acts in place on the prefix of rows in use. A stack
 holds at most `_BATCH_AMPLITUDES` amplitudes (16 MiB of complex128); more
 trajectories run as consecutive batches, each with its own error-free row.
+Every entry point takes one path: a frame of local qubit indices (the one
+check of the qubit cap), one list of the gates that act on the state, this
+evolution (a noiseless run is row 0 alone), and for executables one
+read-out from local indices to logical register order.
 
 Each gate is one kernel call on the rows in use. `x`, `cx` and `swap` only
 move amplitudes, so they exchange two slices of the stack and do no
@@ -33,12 +37,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, Gate
 from .compiler import Executable
 from .devices import CrosstalkMap, DeviceGraph
 from .errors import SimulationError, TopologyMismatch
@@ -166,14 +171,6 @@ def _permute(state: np.ndarray, name: str, qubits: tuple[int, ...]) -> None:
     state[hi] = kept
 
 
-def _step(state: np.ndarray, name: str, qubits: tuple[int, ...], u: np.ndarray) -> None:
-    """Apply one gate to every row of a stacked state, in place."""
-    if name in _PERMUTATIONS:
-        _permute(state, name, qubits)
-    else:
-        _apply(state, u, qubits)
-
-
 def _inject(state: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray, codes: np.ndarray) -> None:
     """Apply the Pauli error `codes[i]` on `qubits` to row `rows[i]`, in place."""
     moved = state.transpose(_rows_then_gate_axes(state.ndim, qubits))
@@ -181,15 +178,6 @@ def _inject(state: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray, codes:
     paulis = _PAULIS[len(qubits)][codes]
     out = paulis @ sub.reshape(len(rows), len(paulis[0]), -1)
     moved[rows] = out.reshape(sub.shape)
-
-
-def _evolve(num_qubits: int, gates) -> np.ndarray:
-    """One-row stacked state of a noiseless run from |0...0>."""
-    state = np.zeros((1,) + (2,) * num_qubits, dtype=complex)
-    state.flat[0] = 1.0
-    for name, lq, u in gates:
-        _step(state, name, lq, u)
-    return state
 
 
 @dataclass(frozen=True)
@@ -255,21 +243,128 @@ def _distribution_from_probs(
     return Distribution(outcomes, width=width, shots=shots, stats=stats)
 
 
+def _frame(name: str, touched) -> tuple[list[int], dict[int, int]]:
+    """The qubits a run touches, ascending, and the dense local index of each."""
+    order = sorted(touched)
+    if len(order) > _MAX_QUBITS:
+        raise SimulationError(f"{name}: {len(order)} qubits exceed the {_MAX_QUBITS}-qubit dense limit")
+    return order, {p: i for i, p in enumerate(order)}
+
+
+def _local_frame(executable: Executable) -> tuple[list[int], dict[int, int]]:
+    """The frame of the physical qubits an executable touches."""
+    touched: set[int] = set(executable.layout) | set(executable.final_layout)
+    for g in executable.routed_gates:
+        touched.update(g.qubits)
+    return _frame(executable.program_name, touched)
+
+
+# (gate, local operands, unitary) of one gate that acts on the state.
+_Op = tuple[Gate, tuple[int, ...], np.ndarray]
+# (position in the op list, local operands, error probability) of one gate that can err.
+_Site = tuple[int, tuple[int, ...], float]
+
+
+def _ops(gates, loc: dict[int, int]) -> list[_Op]:
+    """The `_Op` of each gate that acts on the state, in order.
+
+    List positions are the gate indices that error sites name.
+    """
+    return [
+        (g, tuple(loc[q] for q in g.qubits), gate_unitary(g.name, g.params))
+        for g in gates
+        if g.name not in ("barrier", "measure")
+    ]
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a 1-D array that begin a run of equal values."""
+    heads = np.ones(len(values), dtype=bool)
+    heads[1:] = values[1:] != values[:-1]
+    return heads
+
+
+_NO_PATTERNS = np.zeros((0, 1), dtype=np.int64)
+
+
+def _schedule(sites: Sequence[_Site], patterns: np.ndarray) -> tuple[dict, dict]:
+    """After which gate each pattern's row joins the stack, and the errors each gate injects.
+
+    `patterns` are sorted rows of `_error_patterns`, so their first-error
+    gates ascend and the rows in use at any gate are a prefix of the stack.
+    """
+    # After gate g, the rows of every pattern whose first error is at g are in use.
+    first_gate = [sites[si][0] for si in (patterns[:, 0] >> 4).tolist()]
+    joins = {gi: row for row, gi in enumerate(first_gate, start=2)}
+
+    # Each site's events, rows ascending, for one gather-multiply-scatter each.
+    in_pattern = patterns >= 0
+    events = patterns[in_pattern]
+    order = np.argsort(events >> 4, kind="stable")
+    events, rows = events[order], np.nonzero(in_pattern)[0][order] + 1
+    site = events >> 4
+    starts = np.flatnonzero(_run_heads(site)).tolist()
+    injections = {}
+    for a, b in zip(starts, starts[1:] + [len(site)]):
+        gi, lq, _ = sites[site[a]]
+        injections[gi] = (lq, rows[a:b], events[a:b] & 15)
+    return joins, injections
+
+
+def _evolve_rows(
+    t: int,
+    ops: list[_Op],
+    sites: Sequence[_Site] = (),
+    patterns: np.ndarray = _NO_PATTERNS,
+) -> np.ndarray:
+    """Outcome probabilities of the error-free trajectory (row 0) and of each pattern.
+
+    With no pattern this is the noiseless evolution. The stack is allocated
+    once; a pattern's row joins as a copy of row 0 after the gate of its
+    first error.
+    """
+    joins, injections = _schedule(sites, patterns) if len(patterns) else ({}, {})
+    stack = np.zeros((1 + len(patterns),) + (2,) * t, dtype=complex)
+    stack.flat[0] = 1.0
+    state = stack[:1]
+    for gi, (g, lq, u) in enumerate(ops):
+        if g.name in _PERMUTATIONS:
+            _permute(state, g.name, lq)
+        else:
+            _apply(state, u, lq)
+        active = joins.get(gi)
+        if active is not None:
+            stack[len(state) : active] = stack[0]
+            state = stack[:active]
+        hit = injections.get(gi)
+        if hit is not None:
+            _inject(state, *hit)
+    return np.abs(stack.reshape(len(stack), -1)) ** 2
+
+
+def _logical_counts(
+    executable: Executable, loc: dict[int, int], local: np.ndarray, weights=None, flips=None
+) -> np.ndarray:
+    """Total weight (or count) of each logical outcome over the local basis indices `local`.
+
+    Logical qubit q, bit q of the register from the most significant end, is
+    read at its final home; `flips[q]`, when given, flips that bit entry by entry.
+    """
+    t, k = len(loc), executable.num_qubits
+    logical = np.zeros(len(local), dtype=np.int64)
+    for q, home in enumerate(executable.final_layout):
+        bit = (local >> (t - 1 - loc[home])) & 1
+        if flips is not None:
+            bit ^= flips[q]
+        logical |= bit << (k - 1 - q)
+    return np.bincount(logical, weights=weights, minlength=1 << k)
+
+
 def simulate_ideal(circuit: Circuit) -> Distribution:
     """Exact measurement distribution over all qubits of a noiseless run."""
-    n = circuit.num_qubits
-    if n > _MAX_QUBITS:
-        raise SimulationError(f"{n} qubits exceeds the {_MAX_QUBITS}-qubit dense limit")
-    state = _evolve(
-        n,
-        (
-            (g.name, g.qubits, gate_unitary(g.name, g.params))
-            for g in circuit.gates
-            if g.name not in ("barrier", "measure")
-        ),
-    )
-    probs = np.abs(state.reshape(-1)) ** 2
-    return _distribution_from_probs(probs, n)
+    order, loc = _frame(circuit.name, range(circuit.num_qubits))
+    probs = _evolve_rows(len(order), _ops(circuit.gates, loc))[0]
+    return _distribution_from_probs(probs, circuit.num_qubits)
 
 
 @dataclass(frozen=True)
@@ -286,35 +381,6 @@ class NoiseSpec:
             raise SimulationError("shots must be at least 1")
 
 
-def _local_frame(executable: Executable):
-    """Map the physical qubits an executable touches to dense local indices."""
-    touched: set[int] = set(executable.layout) | set(executable.final_layout)
-    for g in executable.routed_gates:
-        touched.update(g.qubits)
-    order = sorted(touched)
-    return order, {p: i for i, p in enumerate(order)}
-
-
-def _local_gates(executable: Executable, loc: dict[int, int]) -> list[tuple[str, tuple[int, ...], np.ndarray]]:
-    """(name, local operands, unitary) of every routed gate that acts on the state."""
-    return [
-        (g.name, tuple(loc[q] for q in g.qubits), gate_unitary(g.name, g.params))
-        for g in executable.routed_gates
-        if g.name not in ("barrier", "measure")
-    ]
-
-
-def _project_logical(probs: np.ndarray, t: int, loc: dict[int, int], executable: Executable) -> np.ndarray:
-    """Collapse a local distribution onto logical outcomes in register order."""
-    k = executable.num_qubits
-    idx = np.arange(probs.size, dtype=np.int64)
-    logical = np.zeros(probs.size, dtype=np.int64)
-    for q in range(k):
-        j = loc[executable.final_layout[q]]
-        logical |= ((idx >> (t - 1 - j)) & 1) << (k - 1 - q)
-    return np.bincount(logical, weights=probs, minlength=2**k)
-
-
 def ideal_executable_distribution(executable: Executable) -> Distribution:
     """Noiseless run of the routed gates, un-permuted to logical order.
 
@@ -322,12 +388,9 @@ def ideal_executable_distribution(executable: Executable) -> Distribution:
     the circuit's semantics.
     """
     order, loc = _local_frame(executable)
-    t = len(order)
-    if t > _MAX_QUBITS:
-        raise SimulationError(f"executable touches {t} qubits, over the {_MAX_QUBITS} limit")
-    state = _evolve(t, _local_gates(executable, loc))
-    probs = np.abs(state.reshape(-1)) ** 2
-    return _distribution_from_probs(_project_logical(probs, t, loc, executable), executable.num_qubits)
+    probs = _evolve_rows(len(order), _ops(executable.routed_gates, loc))[0]
+    counts = _logical_counts(executable, loc, np.arange(probs.size), weights=probs)
+    return _distribution_from_probs(counts, executable.num_qubits)
 
 
 def _crosstalk_factor(link: tuple[int, int], noise: NoiseSpec) -> float:
@@ -342,17 +405,15 @@ def _crosstalk_factor(link: tuple[int, int], noise: NoiseSpec) -> float:
 
 
 def _error_sites(
-    executable: Executable, loc: dict[int, int], noise: NoiseSpec, device: DeviceGraph
-) -> list[tuple[int, tuple[int, ...], float]]:
-    """(gate index, local operands, error probability) of every gate that can err.
+    executable: Executable, ops: list[_Op], noise: NoiseSpec, device: DeviceGraph
+) -> list[_Site]:
+    """The `_Site` of every gate that can err.
 
-    Gate indices count the gates `_local_gates` keeps; each gate is at most
-    one site, so sites come in ascending gate order.
+    Each gate is at most one site, so sites come in ascending gate order.
     """
     factors: dict[tuple[int, int], float] = {}
     sites = []
-    ops = (g for g in executable.routed_gates if g.name not in ("barrier", "measure"))
-    for gi, g in enumerate(ops):
+    for gi, (g, lq, _) in enumerate(ops):
         if len(g.qubits) == 1:
             p = device.qubit_error[g.qubits[0]]
         else:
@@ -371,15 +432,8 @@ def _error_sites(
             else:
                 p = 0.0
         if p > 0.0:
-            sites.append((gi, tuple(loc[q] for q in g.qubits), p))
+            sites.append((gi, lq, p))
     return sites
-
-
-def _run_heads(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a 1-D array that begin a run of equal values."""
-    heads = np.ones(len(values), dtype=bool)
-    heads[1:] = values[1:] != values[:-1]
-    return heads
 
 
 def _error_patterns(
@@ -394,7 +448,7 @@ def _error_patterns(
     (site, code) tuples do, a pattern before any longer one it begins.
     """
     if not hit_sites:
-        return np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return _NO_PATTERNS, np.zeros(0, dtype=np.int64)
     shot = np.concatenate(shot_ids)
     site = np.repeat(hit_sites, [len(ids) for ids in shot_ids])
     event = site << 4 | np.concatenate(codes)
@@ -411,54 +465,6 @@ def _error_patterns(
     padded = padded[np.lexsort(padded.T[::-1])]
     firsts = np.flatnonzero(np.concatenate(([True], (padded[1:] != padded[:-1]).any(axis=1))))
     return padded[firsts], np.diff(firsts, append=len(padded))
-
-
-def _evolve_batch(
-    t: int,
-    gates: list[tuple[str, tuple[int, ...], np.ndarray]],
-    sites: list[tuple[int, tuple[int, ...], float]],
-    patterns: np.ndarray,
-) -> np.ndarray:
-    """Normalized outcome CDF of the error-free trajectory (row 0) and of each pattern.
-
-    `patterns` are sorted rows of `_error_patterns`, so their first-error
-    gates ascend and the rows in use at any gate are a prefix of the stack.
-    The stack is allocated once; a pattern's row joins as a copy of row 0
-    after the gate of its first error.
-    """
-    # After gate g, the rows of every pattern whose first error is at g are in use.
-    first_gate = [sites[si][0] for si in (patterns[:, 0] >> 4).tolist()]
-    joins = {gi: row for row, gi in enumerate(first_gate, start=2)}
-
-    # Each site's events, rows ascending, for one gather-multiply-scatter each.
-    in_pattern = patterns >= 0
-    events = patterns[in_pattern]
-    order = np.argsort(events >> 4, kind="stable")
-    events, rows = events[order], np.nonzero(in_pattern)[0][order] + 1
-    site = events >> 4
-    starts = np.flatnonzero(_run_heads(site)).tolist()
-    injections = {}
-    for a, b in zip(starts, starts[1:] + [len(site)]):
-        gi, lq, _ = sites[site[a]]
-        injections[gi] = (lq, rows[a:b], events[a:b] & 15)
-
-    stack = np.zeros((1 + len(patterns),) + (2,) * t, dtype=complex)
-    stack.flat[0] = 1.0
-    state = stack[:1]
-    for gi, (name, lq, u) in enumerate(gates):
-        _step(state, name, lq, u)
-        active = joins.get(gi)
-        if active is not None:
-            stack[len(state) : active] = stack[0]
-            state = stack[:active]
-        hit = injections.get(gi)
-        if hit is not None:
-            _inject(state, *hit)
-    probs = np.abs(stack.reshape(len(stack), -1)) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    cdf = probs.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    return cdf
 
 
 def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph) -> Distribution:
@@ -482,13 +488,10 @@ def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph
         )
     order, loc = _local_frame(executable)
     t = len(order)
-    if t > _MAX_QUBITS:
-        raise SimulationError(f"executable touches {t} qubits, over the {_MAX_QUBITS} limit")
-    k = executable.num_qubits
     shots = noise.shots
     rng = np.random.default_rng(noise.seed)
-    gates = _local_gates(executable, loc)
-    sites = _error_sites(executable, loc, noise, device)
+    ops = _ops(executable.routed_gates, loc)
+    sites = _error_sites(executable, ops, noise, device)
 
     # Sample which shots take an error at which site, then group identical
     # patterns so each distinct trajectory is evolved once.
@@ -514,28 +517,23 @@ def simulate_noisy(executable: Executable, noise: NoiseSpec, device: DeviceGraph
     # With no error pattern, one empty batch still evolves the error-free row.
     batch_starts = range(0, len(patterns), per_batch) or range(1)
     for b in batch_starts:
-        cdf = _evolve_batch(t, gates, sites, patterns[b : b + per_batch])
+        probs = _evolve_rows(t, ops, sites, patterns[b : b + per_batch])
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
         for row, count in enumerate(repeats[b : b + per_batch].tolist(), start=1):
             drawn.append(cdf[row].searchsorted(uniforms[used : used + count], side="right"))
             used += count
     if clean:
         drawn.append(cdf[0].searchsorted(uniforms[used:], side="right"))
 
-    local_idx = np.concatenate(drawn)
-    logical = np.zeros(shots, dtype=np.int64)
-    for q in range(k):
-        home = executable.final_layout[q]
-        j = loc[home]
-        bit = (local_idx >> (t - 1 - j)) & 1
-        p_ro = device.readout_error[home]
-        if p_ro > 0.0:
-            bit = bit ^ (rng.random(shots) < p_ro)
-        logical |= bit.astype(np.int64) << (k - 1 - q)
-    counts = np.bincount(logical, minlength=2**k)
-    probs = counts / shots
+    # Readout flips are drawn after every outcome, one array per logical qubit in order.
+    readout = [device.readout_error[home] for home in executable.final_layout]
+    flips = [rng.random(shots) < p if p > 0.0 else 0 for p in readout]
+    counts = _logical_counts(executable, loc, np.concatenate(drawn), flips=flips)
     stats = SimulationStats(
         trajectories=len(patterns) + len(batch_starts),
         batches=len(batch_starts),
         error_events=sum(len(ids) for ids in shot_ids),
     )
-    return _distribution_from_probs(probs, k, shots=shots, stats=stats)
+    return _distribution_from_probs(counts / shots, executable.num_qubits, shots=shots, stats=stats)

@@ -87,7 +87,7 @@ def test_full_suite_single_group(small_suite):
     groups = generate_groups(small_suite, len(small_suite), 1, seed=0)
     assert len(groups) == 1
     assert sorted(groups[0].members) == sorted(small_suite)
-    with pytest.raises(ValueError, match="only 1 distinct"):
+    with pytest.raises(QmuxError, match="only 1 distinct"):
         generate_groups(small_suite, len(small_suite), 2, seed=0)
 
 
@@ -109,11 +109,11 @@ def test_group_generation_deterministic(small_suite):
 
 
 def test_group_validation(small_suite):
-    with pytest.raises(ValueError, match="need 2"):
+    with pytest.raises(QmuxError, match="need 2"):
         BenchmarkGroup(0, ("adder_n4",))
-    with pytest.raises(ValueError, match="repeats"):
+    with pytest.raises(QmuxError, match="repeats"):
         BenchmarkGroup(0, ("adder_n4", "adder_n4"))
-    with pytest.raises(ValueError, match="exceeds suite size"):
+    with pytest.raises(QmuxError, match="exceeds suite size"):
         generate_groups(small_suite, 31, 1, seed=0)
 
 
@@ -234,7 +234,7 @@ def test_success_ratio_arithmetic():
     assert success_ratio(_fake_report(8, 30)) == pytest.approx(0.2667, abs=5e-5)
     assert success_ratio(_fake_report(26, 30)) == pytest.approx(26 / 30)
     assert success_ratio(_fake_report(5, 5)) == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(QmuxError, match="no records"):
         success_ratio(ExperimentReport(()))
 
 
@@ -379,7 +379,7 @@ def test_two_workers_record_what_one_does(heavyhex27):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_unknown_strategy_rejected_in_every_mode(mode, heavyhex27):
-    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+    with pytest.raises(QmuxError, match="unknown strategy 'bogus'"):
         FidelityExperiment(heavyhex27, 4, mode=mode, strategy="bogus")
 
 

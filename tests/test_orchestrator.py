@@ -12,7 +12,7 @@ from qmux.benchmarks import load_benchmark
 from qmux.circuits import Gate
 from qmux.compiler import Executable, Process, compile_multi_version
 from qmux.devices import CrosstalkMap
-from qmux.errors import CalibrationError, OrchestrationConflict, OrchestrationTimeout, PartitionError
+from qmux.errors import CalibrationError, OrchestrationConflict, OrchestrationTimeout, PartitionError, QmuxError
 from qmux.harness import _select_vanilla, sample_crosstalk_map
 from qmux.orchestrator import select_brute_force, select_heuristic
 from qmux.partition import Region, generate_compute_units
@@ -150,7 +150,7 @@ def test_random_strategy_deterministic_per_seed():
 
 def test_unknown_strategy_rejected():
     procs = [fake_process("p1", [[0]])]
-    with pytest.raises(ValueError, match="unknown strategy"):
+    with pytest.raises(QmuxError, match="unknown strategy"):
         select_heuristic(procs, strategy="greedy")
 
 

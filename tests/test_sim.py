@@ -71,6 +71,16 @@ def test_ideal_qubit_limit():
         simulate_ideal(Circuit("big", 15, ()))
 
 
+def test_executable_qubit_limit_names_the_program(heavyhex27, ug27_m4):
+    chain = (Gate("h", (0,)),) + tuple(Gate("cx", (i, i + 1)) for i in range(14))
+    exe = compile_multi_version(Circuit("ghz15", 15, chain), ug27_m4).executables[0]
+    refusal = "^ghz15: 15 qubits exceed the 14-qubit dense limit$"
+    with pytest.raises(SimulationError, match=refusal):
+        ideal_executable_distribution(exe)
+    with pytest.raises(SimulationError, match=refusal):
+        simulate_noisy(exe, NoiseSpec(shots=64), heavyhex27)
+
+
 def test_noiseless_simulation_matches_ideal():
     dev = _zero_noise_path(3)
     exe = compile_on_region(_ghz3(), _sole_region(dev), dev)
