@@ -7,6 +7,7 @@ from pathlib import Path
 
 from .circuits import Circuit, parse_qasm
 from .devices import DeviceGraph, load_calibration
+from .errors import QmuxError
 
 _BENCH_DIR = resources.files(__package__) / "assets" / "benchmarks"
 _DEVICE_DIR = resources.files(__package__) / "assets" / "devices"
@@ -20,7 +21,7 @@ def suite() -> tuple[str, ...]:
 def benchmark_path(name: str) -> Path:
     path = _BENCH_DIR / f"{name}.qasm"
     if not path.is_file():
-        raise KeyError(f"no bundled benchmark named {name!r}")
+        raise QmuxError(f"no bundled benchmark named {name!r}")
     return Path(str(path))
 
 
@@ -35,7 +36,7 @@ def device_names() -> tuple[str, ...]:
 def device_path(name: str) -> Path:
     path = _DEVICE_DIR / f"{name}.json"
     if not path.is_file():
-        raise KeyError(f"no bundled device named {name!r}")
+        raise QmuxError(f"no bundled device named {name!r}")
     return Path(str(path))
 
 

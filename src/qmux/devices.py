@@ -44,7 +44,7 @@ def _components(nodes: set[int], adj) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class DeviceGraph:
-    """Connected undirected graph of physical qubits with calibration data."""
+    """Connected qubit graph with calibration data; `links` is kept as sorted (low, high) pairs."""
 
     num_qubits: int
     links: tuple[tuple[int, int], ...]
@@ -72,6 +72,7 @@ class DeviceGraph:
                 raise CalibrationError(f"link {key} has no error rate")
             if not (0.0 < err < 1.0):
                 raise CalibrationError(f"probability out of range on link {key}: {err}")
+        object.__setattr__(self, "links", tuple(sorted(seen)))
         extra = self.link_error.keys() - seen
         if extra:
             raise CalibrationError(f"error rate given for {min(extra)}, which is not a link")
@@ -171,7 +172,7 @@ def load_calibration(path: str | Path) -> DeviceGraph:
                 raise TypeError(f"device name must be a string, got {name!r}")
             return DeviceGraph(
                 num_qubits=_json_int(raw["num_qubits"], "num_qubits"),
-                links=tuple(sorted(links)),
+                links=links,
                 link_error=link_error,
                 qubit_error=tuple(map(float, _numbers(raw["qubit_errors"], "qubit error"))),
                 readout_error=tuple(map(float, _numbers(raw["readout_errors"], "readout error"))),
@@ -252,9 +253,9 @@ class VariationModel:
 def apply_variation(device: DeviceGraph, model: VariationModel) -> DeviceGraph:
     """Scale every link error by an independent log-normal draw.
 
-    Draws are assigned to links in sorted order, so a given seed always
-    produces the same varied device. Scaled errors are clamped into
-    (0, 0.999].
+    Draws are assigned to links in sorted order, the order `links` is kept
+    in, so a given seed always produces the same varied device. Scaled
+    errors are clamped into (0, 0.999].
     """
     rng = np.random.default_rng(model.seed)
     factors = rng.lognormal(model.mu, model.sigma, size=len(device.links))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benchmarks import load_benchmark
+from .benchmarks import load_benchmark, suite as bundled_suite
 from .compiler import Executable, Process, compile_multi_version
 from .devices import CrosstalkMap, DeviceGraph, VariationModel, apply_variation
 from .errors import (
@@ -233,8 +233,10 @@ def simulate_slots(
 
     The slots co-run: each sees the others' qubits as co-claimed, so
     `crosstalk` amplifies links between them. Slots that run `alone` are
-    alternatives, with nothing co-claimed.
+    alternatives, with nothing co-claimed. One seed per slot, or QmuxError.
     """
+    if len(seeds) != len(executables):
+        raise QmuxError(f"{len(executables)} slot(s) but {len(seeds)} seed(s)")
     co_claimed = [frozenset()] * len(executables) if alone else co_claims(executables)
     return [
         simulate_noisy(exe, NoiseSpec(shots=shots, seed=seed, crosstalk=crosstalk, co_claimed=others), device)
@@ -290,6 +292,8 @@ class FidelityExperiment:
             raise QmuxError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         if shots < 1:
             raise QmuxError(f"shots must be at least 1, got {shots}")
+        if seed < 0:  # numpy's seed sequences take no negative integer
+            raise QmuxError(f"seed must be a non-negative integer, got {seed}")
         self.device = device
         self.unit_size = unit_size
         self.mode = mode
@@ -445,7 +449,7 @@ def cost_fidelity_correlation(
     rank orders versions by descending simulated fidelity. Positive
     correlation means the cost metric predicts the fidelity ordering.
     """
-    experiment = FidelityExperiment(device, unit_size, shots=shots)
+    experiment = FidelityExperiment(device, unit_size, shots=shots, seed=seed)
     per_program: dict[str, float] = {}
     for p_idx, name in enumerate(names):
         try:
@@ -545,9 +549,14 @@ def run_sweep(
                  copy; sigma 0 reproduces the matched run exactly.
     crosstalk    amplified crosstalk on, selection filter off (param 0) then
                  on (param 1), same sampled crosstalk map.
+
+    Names that are no bundled benchmark are all refused before a group is drawn;
+    each point's FidelityExperiment checks `seed` and `shots` before anything compiles.
     """
     if kind not in SWEEP_KINDS:
         raise QmuxError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
+    if unknown := sorted(set(suite_names) - set(bundled_suite())):
+        raise QmuxError(f"no bundled benchmark named {', '.join(unknown)}")
     # (param, groups, experiment options that differ from the base) per point.
     if kind == "concurrency":
         nested = nested_prefix_groups(suite_names, concurrencies, group_count, seed)

@@ -44,7 +44,7 @@ from .compiler import Executable, Process
 from .devices import CrosstalkMap
 from .errors import OrchestrationConflict, OrchestrationTimeout, QmuxError
 
-_DEFAULT_TIMEOUT_S = 10.0
+DEFAULT_TIMEOUT_S = 10.0
 
 STRATEGIES = ("random", "small_first", "large_first", "brute_force")
 
@@ -145,7 +145,7 @@ def select_heuristic(
 
 def select_brute_force(
     processes: list[Process],
-    timeout_s: float = _DEFAULT_TIMEOUT_S,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
     crosstalk: CrosstalkMap | None = None,
 ) -> Selection:
     """Exact search for the conflict-free assignment with the least rank sum.
@@ -158,8 +158,10 @@ def select_brute_force(
     otherwise OrchestrationTimeout is raised. A refused search, by
     OrchestrationTimeout or OrchestrationConflict, reports its `evaluations`
     (0, since any complete assignment is an incumbent) and `nodes` on the
-    exception.
+    exception. A `timeout_s` that is negative or NaN is refused before the search.
     """
+    if not timeout_s >= 0:  # NaN too: no time is ever past it
+        raise QmuxError(f"timeout must be a non-negative number of seconds, got {timeout_s}")
     start = time.perf_counter()
     deadline = start + timeout_s
     n = len(processes)

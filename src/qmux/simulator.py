@@ -369,7 +369,7 @@ def simulate_ideal(circuit: Circuit) -> Distribution:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """How to run a noisy simulation: shots, seed, and crosstalk context."""
+    """How to run a noisy simulation: shots (1 or more), a non-negative seed, and crosstalk context."""
 
     shots: int
     seed: int = 0
@@ -379,6 +379,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.shots < 1:
             raise SimulationError("shots must be at least 1")
+        if self.seed < 0:
+            raise SimulationError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def ideal_executable_distribution(executable: Executable) -> Distribution:

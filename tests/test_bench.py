@@ -22,10 +22,12 @@ from qmux.harness import (
     GroupRecord,
     _average_ranks,
     co_claims,
+    cost_fidelity_correlation,
     generate_groups,
     nested_prefix_groups,
     run_sweep,
     sample_crosstalk_map,
+    simulate_slots,
     success_ratio,
 )
 from qmux.orchestrator import select_heuristic
@@ -381,6 +383,48 @@ def test_two_workers_record_what_one_does(heavyhex27):
 def test_unknown_strategy_rejected_in_every_mode(mode, heavyhex27):
     with pytest.raises(QmuxError, match="unknown strategy 'bogus'"):
         FidelityExperiment(heavyhex27, 4, mode=mode, strategy="bogus")
+
+
+_NEGATIVE_SEED_ENTRIES = {
+    "experiment": lambda dev: FidelityExperiment(dev, 4, shots=16, seed=-1),
+    "sweep": lambda dev: run_sweep("unit_size", dev, ["wstate_n3", "adder_n4"], group_count=1, shots=16, seed=-1),
+    "correlation": lambda dev: cost_fidelity_correlation(dev, 4, ["wstate_n3"], shots=16, seed=-1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NEGATIVE_SEED_ENTRIES))
+def test_negative_seed_refused_before_compiling(entry, heavyhex27, monkeypatch):
+    # Numpy's seed sequences take no negative integer; each entry point refuses it first.
+    compiled = []
+    monkeypatch.setattr(harness, "compile_multi_version", lambda *args: compiled.append(args))
+    with pytest.raises(QmuxError, match="^seed must be a non-negative integer, got -1$"):
+        _NEGATIVE_SEED_ENTRIES[entry](heavyhex27)
+    assert not compiled
+
+
+def test_sweep_names_every_unknown_benchmark_before_drawing_a_group(heavyhex27, monkeypatch):
+    drawn, compiled = [], []
+    monkeypatch.setattr(harness, "generate_groups", lambda *args: drawn.append(args))
+    monkeypatch.setattr(harness, "compile_multi_version", lambda *args: compiled.append(args))
+    with pytest.raises(QmuxError, match="^no bundled benchmark named bogus1, bogus2$"):
+        run_sweep("unit_size", heavyhex27, ["bogus2", "wstate_n3", "bogus1"], group_count=1, shots=16)
+    assert not drawn and not compiled
+
+
+def test_experiment_refuses_an_unknown_member_without_a_traceback(heavyhex27):
+    experiment = FidelityExperiment(heavyhex27, 4, shots=16)
+    with pytest.raises(QmuxError, match="no bundled benchmark named 'bogus'"):
+        experiment.run([BenchmarkGroup(0, ("bogus", "adder_n4"))])
+    with pytest.raises(QmuxError, match="no bundled device named 'bogus'"):
+        device_path("bogus")
+
+
+def test_simulate_slots_refuses_a_seed_count_other_than_the_slot_count(heavyhex27, ug27_m4):
+    executables = compile_multi_version(load_benchmark("wstate_n3"), ug27_m4).executables[:2]
+    for seeds in ([0], [0, 1, 2]):
+        with pytest.raises(QmuxError, match=re.escape(f"2 slot(s) but {len(seeds)} seed(s)")):
+            simulate_slots(executables, heavyhex27, 16, seeds, alone=True)
+    assert len(simulate_slots(executables, heavyhex27, 16, [0, 1], alone=True)) == 2
 
 
 def test_spearman_ties_share_their_average_rank():
@@ -1123,21 +1167,26 @@ def test_cli_orchestrate_refuses_nan_and_negative_timeouts(timeout, tmp_path, ca
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert f"--timeout must be a non-negative number of seconds, got {float(timeout)}" in err
+    assert f"timeout must be a non-negative number of seconds, got {float(timeout)}" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run missing.exe.json", "bench --kind unit_size --suite wstate_n3 adder_n4 --out b"])
-def test_cli_run_and_bench_refuse_a_negative_seed_before_reading_a_file(command, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_cli_run_and_bench_refuse_a_negative_seed_cleanly(command, tmp_path, capsys, monkeypatch, small_table):
     # Numpy's seed sequences take no negative integer: `run` ended in a
     # traceback, `bench` in an error naming no option after it had compiled.
+    # NoiseSpec and FidelityExperiment refuse it before anything runs or compiles.
+    save_processes(str(tmp_path / "table.json"), small_table[1:])
+    compiled = []
+    monkeypatch.setattr(harness, "compile_multi_version", lambda *args: compiled.append(args))
     monkeypatch.chdir(tmp_path)
-    argv = [*command.split(), "--device", "missing-device.json", "--shots", "16", "--seed", "-1"]
+    given = "table.json" if command == "run" else "--kind unit_size --suite wstate_n3 adder_n4 --groups 1 --out b"
+    argv = [command, *given.split(), "--device", "heavyhex27", "--shots", "16", "--seed", "-1"]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert "--seed must be a non-negative integer, got -1" in err
-    assert list(tmp_path.iterdir()) == []
+    assert "seed must be a non-negative integer, got -1" in err
+    assert not compiled and [p.name for p in tmp_path.iterdir()] == ["table.json"]
 
 
 def test_cli_orchestrate_takes_a_negative_seed(tmp_path, capsys):
@@ -1312,14 +1361,12 @@ def test_cli_run_all_versions_refuses_several_programs(tmp_path, capsys):
         assert main(["compile", name, "--device", "heavyhex27", "-m", "4", "-o", str(out_dir)]) == 0
     manifests = [str(out_dir / f"{name}.process.json") for name in ("wstate_n3", "adder_n4")]
     out = tmp_path / "run.json"
-    # The combination is refused before the device or any manifest is read.
-    for device in ("heavyhex27", "no-such-device"):
-        capsys.readouterr()
-        argv = ["run", *manifests, "--all-versions", "--device", device, "--shots", "64", "--out", str(out)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err == "error: --all-versions runs the versions of one program; got 2 programs\n"
-        assert not out.exists()
+    # The manifests are read, then the two programs they hold are refused before anything runs.
+    capsys.readouterr()
+    argv = ["run", *manifests, "--all-versions", "--device", "heavyhex27", "--shots", "64", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --all-versions runs the versions of one program; got 2 programs\n"
+    assert not out.exists()
 
 
 def test_cli_run_fills_one_slot_per_process(tmp_path, capsys, small_table):

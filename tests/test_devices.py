@@ -75,6 +75,16 @@ def test_device_refuses_an_error_rate_for_a_pair_that_is_not_a_link():
         DeviceGraph(3, ((0, 1), (1, 2)), rates, (0.001,) * 3, (0.02,) * 3)
 
 
+def test_device_keeps_links_as_sorted_low_high_pairs():
+    rates = {(0, 1): 0.01, (1, 2): 0.02, (0, 2): 0.03}
+    given = DeviceGraph(3, ((2, 1), (1, 0), (0, 2)), rates, (0.001,) * 3, (0.02,) * 3)
+    ordered = DeviceGraph(3, ((0, 1), (0, 2), (1, 2)), rates, (0.001,) * 3, (0.02,) * 3)
+    assert given.links == ordered.links == ((0, 1), (0, 2), (1, 2))
+    # Variation reads each link's error by its stored pair and draws in stored order.
+    model = VariationModel(mu=0.0, sigma=0.3, seed=4)
+    assert apply_variation(given, model).link_error == apply_variation(ordered, model).link_error
+
+
 def test_bundled_heavy_hex_link_counts(heavyhex27, heavyhex65):
     assert heavyhex27.num_qubits == 27
     assert len(heavyhex27.links) == 28

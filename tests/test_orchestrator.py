@@ -187,6 +187,17 @@ def test_timeout_with_no_incumbent():
         select_brute_force(procs, timeout_s=0.0)
 
 
+@pytest.mark.parametrize("timeout_s", [math.nan, -1.0])
+def test_brute_force_refuses_a_nan_or_negative_timeout_before_searching(timeout_s, monkeypatch):
+    # NaN compares false with every time, so a search under it could never time out.
+    readings = []
+    monkeypatch.setattr(orchestrator.time, "perf_counter", lambda: readings.append(1) or 0.0)
+    procs = [fake_process(f"p{i}", [[i], [i + 10]]) for i in range(3)]
+    with pytest.raises(QmuxError, match=f"^timeout must be a non-negative number of seconds, got {timeout_s}$"):
+        select_brute_force(procs, timeout_s=timeout_s)
+    assert not readings
+
+
 def test_timeout_returns_incumbent(monkeypatch):
     # The first descent puts p0 on units 0 and 1, which leaves p9 only its
     # rank 3: a rank sum of 12. Moving p0 to rank 2 reaches 11, so the

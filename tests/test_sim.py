@@ -81,6 +81,13 @@ def test_executable_qubit_limit_names_the_program(heavyhex27, ug27_m4):
         simulate_noisy(exe, NoiseSpec(shots=64), heavyhex27)
 
 
+def test_noise_spec_refuses_a_negative_seed():
+    # Numpy's generators take no negative seed; the spec refuses it before any run.
+    with pytest.raises(SimulationError, match="^seed must be a non-negative integer, got -1$"):
+        NoiseSpec(shots=1, seed=-1)
+    assert NoiseSpec(shots=1, seed=0).seed == 0
+
+
 def test_noiseless_simulation_matches_ideal():
     dev = _zero_noise_path(3)
     exe = compile_on_region(_ghz3(), _sole_region(dev), dev)
