@@ -10,9 +10,12 @@ alike: a known name, its arity, distinct operands, and finite parameters on
 the parametric one-qubit gates only. The parser checks only what the source
 text says (statements, registers, operand indices, parameter expressions),
 builds `Gate`s, and reports a refused gate as a QasmError at its statement's
-line. Every operand, quantum or classical, goes through one reader that
-checks its register and index; parameter expressions may nest parentheses,
-and one too deep to evaluate is refused.
+line. A register may hold at most MAX_REGISTER_SIZE qubits or bits. Every
+operand, quantum or classical, goes through one reader that checks its
+register and index; parameter expressions may nest parentheses, and one too
+deep to evaluate is refused. Within one `parse_qasm` call each distinct
+parameter text is evaluated once and each distinct operand token read once;
+the results live in dicts of that call, and nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -56,33 +59,33 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"{self.name} has repeated operands {self.qubits}")
-        if self.name in SINGLE_QUBIT_GATES:
-            if len(self.qubits) != 1:
-                raise CircuitError(f"{self.name} takes exactly one qubit")
-            if len(self.params) != SINGLE_QUBIT_GATES[self.name]:
-                raise CircuitError(
-                    f"{self.name} takes {SINGLE_QUBIT_GATES[self.name]} parameter(s), "
-                    f"got {len(self.params)}"
-                )
-        elif self.name in TWO_QUBIT_GATES:
-            if len(self.qubits) != 2:
-                raise CircuitError(f"{self.name} takes exactly two distinct qubits")
-        elif self.name == "measure":
-            if len(self.qubits) != 1:
+        name, qubits, params = self.name, self.qubits, self.params
+        n = len(qubits)
+        if n > 1 and len(set(qubits)) != n:
+            raise CircuitError(f"{name} has repeated operands {qubits}")
+        arity = SINGLE_QUBIT_GATES.get(name)
+        if arity is not None:
+            if n != 1:
+                raise CircuitError(f"{name} takes exactly one qubit")
+            if len(params) != arity:
+                raise CircuitError(f"{name} takes {arity} parameter(s), got {len(params)}")
+        elif name in TWO_QUBIT_GATES:
+            if n != 2:
+                raise CircuitError(f"{name} takes exactly two distinct qubits")
+        elif name == "measure":
+            if n != 1:
                 raise CircuitError("measure takes exactly one qubit")
-        elif self.name == "barrier":
-            if not self.qubits:
+        elif name == "barrier":
+            if not n:
                 raise CircuitError("barrier must span at least one qubit")
         else:
-            raise CircuitError(f"unknown gate {self.name!r}")
-        if self.params:
-            if self.name not in SINGLE_QUBIT_GATES:
-                raise CircuitError(f"{self.name} takes no parameters")
-            for p in self.params:
+            raise CircuitError(f"unknown gate {name!r}")
+        if params:
+            if arity is None:
+                raise CircuitError(f"{name} takes no parameters")
+            for p in params:
                 if not abs(p) <= _FLOAT_MAX:  # NaN, infinities and ints past float range
-                    raise CircuitError(f"{self.name} parameter {p} is not a finite float")
+                    raise CircuitError(f"{name} parameter {p} is not a finite float")
 
     @property
     def is_two_qubit(self) -> bool:
@@ -148,6 +151,13 @@ def decompose_swaps(circuit: Circuit) -> Circuit:
 
 # --- OpenQASM 2 front end -------------------------------------------------
 
+# A register past this size is refused at its declaration, before a
+# whole-register operand can expand it one gate per qubit.
+MAX_REGISTER_SIZE = 1024
+# Leading words of the statements that apply a gate; only other statements
+# walk the header, register and measure cascade.
+_APPLIED = frozenset(SINGLE_QUBIT_GATES) | frozenset(TWO_QUBIT_GATES) | {"barrier"}
+_COMMENT_RE = re.compile(r"//[^\n]*")
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(r"^creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
 # Parameters run to the statement's last ")", so they may nest parentheses.
@@ -159,10 +169,6 @@ _KNOWN_UNSUPPORTED = (
     "gate", "if", "reset", "opaque", "gatedef",
     "ccx", "cz", "cu1", "cu3", "crz", "ch", "id", "cswap", "u", "p",
 )
-
-
-def _strip_comments(text: str) -> str:
-    return re.sub(r"//[^\n]*", "", text)
 
 
 def _statements(text: str):
@@ -179,6 +185,22 @@ def _statements(text: str):
     if stmt:
         line += tail.count("\n", 0, tail.index(stmt[0]))
         raise QasmError(f"unterminated statement {stmt[:40]!r}", line)
+
+
+def _decimal(digits: str, line: int) -> int:
+    """A register size or index; one with more digits than int() reads is refused."""
+    try:
+        return int(digits)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise QasmError(f"number {digits[:40]}... has too many digits", line) from None
+
+
+def _register(decl: re.Match, kind: str, line: int) -> tuple[str, int]:
+    """The (name, size) a qreg or creg declares, refused past MAX_REGISTER_SIZE."""
+    size = _decimal(decl[2], line)
+    if size > MAX_REGISTER_SIZE:
+        raise QasmError(f"{kind} register of size {size} exceeds the limit of {MAX_REGISTER_SIZE}", line)
+    return decl[1], size
 
 
 # CPython 3.11's AST constructor keeps one depth counter per interpreter, so
@@ -231,15 +253,31 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     """Parse a restricted OpenQASM 2 program into a Circuit.
 
     Supported statements: the version header, a single qreg (plus at most one
-    creg), the gate vocabulary in SINGLE_QUBIT_GATES, cx, swap, barrier, and
-    measure. Anything else raises QasmError naming the construct and the line.
+    creg), each of at most MAX_REGISTER_SIZE, the gate vocabulary in
+    SINGLE_QUBIT_GATES, cx, swap, barrier, and measure. Anything else raises
+    QasmError naming the construct and the line. A statement whose leading
+    word is a gate name goes straight to the gate path. Each distinct
+    parameter text is evaluated, and each distinct operand token read against
+    its register, once per call; nothing is kept from one call to the next.
     """
     qreg: tuple[str, int] | None = None
     creg: tuple[str, int] | None = None
     gates: list[Gate] = []
+    values: dict[str, float] = {}
+    indices: dict[str, dict[str, tuple[int, ...]]] = {"quantum": {}, "classical": {}}
 
-    def operand_of(token: str, reg: tuple[str, int] | None, kind: str, line: int) -> list[int]:
+    def value_of(text: str, line: int) -> float:
+        value = values.get(text)
+        if value is None:
+            value = values[text] = _eval_param(text, line)
+        return value
+
+    def operand_of(token: str, reg: tuple[str, int] | None, kind: str, line: int) -> tuple[int, ...]:
         """The indices `token` names in `reg`, the program's one register of `kind`."""
+        known = indices[kind]
+        found = known.get(token)
+        if found is not None:
+            return found
         m = _OPERAND_RE.match(token.strip())
         if not m:
             raise QasmError(f"bad operand {token.strip()!r}", line)
@@ -247,57 +285,60 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         if reg is None or name != reg[0]:
             raise QasmError(f"unknown {kind} register {name!r}", line)
         if idx is None:
-            return list(range(reg[1]))
-        i = int(idx)
-        if i >= reg[1]:
-            raise QasmError(f"operand {name}[{i}] outside register of size {reg[1]}", line)
-        return [i]
+            found = tuple(range(reg[1]))
+        else:
+            i = _decimal(idx, line)
+            if i >= reg[1]:
+                raise QasmError(f"operand {name}[{i}] outside register of size {reg[1]}", line)
+            found = (i,)
+        known[token] = found
+        return found
 
     line = None
     try:
-        for stmt, line in _statements(_strip_comments(text)):
-            stmt = re.sub(r"\s+", " ", stmt)
-            if stmt.startswith("OPENQASM"):
-                version = stmt.split(None, 1)[1] if " " in stmt else ""
-                if version.strip() != "2.0":
-                    raise QasmError(f"unsupported OPENQASM version {version.strip()!r}", line)
-                continue
-            if stmt.startswith("include"):
-                if '"qelib1.inc"' not in stmt:
-                    raise QasmError(f"unsupported include {stmt!r}", line)
-                continue
-            m = _QREG_RE.match(stmt)
-            if m:
-                if qreg is not None:
-                    raise QasmError("multiple quantum registers are not supported", line)
-                qreg = (m.group(1), int(m.group(2)))
-                if qreg[1] < 1:
-                    raise QasmError("empty quantum register", line)
-                continue
-            m = _CREG_RE.match(stmt)
-            if m:
-                if creg is not None:
-                    raise QasmError("multiple classical registers are not supported", line)
-                creg = (m.group(1), int(m.group(2)))
-                continue
-            m = _MEASURE_RE.match(stmt)
-            if m:
-                qs = operand_of(m.group(1), qreg, "quantum", line)
-                bits = operand_of(m.group(2), creg, "classical", line)
-                if len(qs) != len(bits):
-                    raise QasmError(f"measure of {len(qs)} qubit(s) into {len(bits)} bit(s)", line)
-                for q in qs:
-                    gates.append(Gate("measure", (q,)))
-                continue
+        for stmt, line in _statements(_COMMENT_RE.sub("", text)):
+            stmt = " ".join(stmt.split())
             m = _APP_RE.match(stmt)
-            if not m:
-                raise QasmError(f"cannot parse statement {stmt!r}", line)
-            head, params_text, args_text = m.groups()
-            if head != "barrier" and head not in SINGLE_QUBIT_GATES and head not in TWO_QUBIT_GATES:
-                if head in _KNOWN_UNSUPPORTED:
-                    raise QasmError(f"unsupported construct {head!r}", line)
+            if m is None or m[1] not in _APPLIED:
+                if stmt.startswith("OPENQASM"):
+                    version = stmt.split(None, 1)[1] if " " in stmt else ""
+                    if version.strip() != "2.0":
+                        raise QasmError(f"unsupported OPENQASM version {version.strip()!r}", line)
+                    continue
+                if stmt.startswith("include"):
+                    if '"qelib1.inc"' not in stmt:
+                        raise QasmError(f"unsupported include {stmt!r}", line)
+                    continue
+                decl = _QREG_RE.match(stmt)
+                if decl:
+                    if qreg is not None:
+                        raise QasmError("multiple quantum registers are not supported", line)
+                    qreg = _register(decl, "quantum", line)
+                    if qreg[1] < 1:
+                        raise QasmError("empty quantum register", line)
+                    continue
+                decl = _CREG_RE.match(stmt)
+                if decl:
+                    if creg is not None:
+                        raise QasmError("multiple classical registers are not supported", line)
+                    creg = _register(decl, "classical", line)
+                    continue
+                decl = _MEASURE_RE.match(stmt)
+                if decl:
+                    qs = operand_of(decl[1], qreg, "quantum", line)
+                    bits = operand_of(decl[2], creg, "classical", line)
+                    if len(qs) != len(bits):
+                        raise QasmError(f"measure of {len(qs)} qubit(s) into {len(bits)} bit(s)", line)
+                    for q in qs:
+                        gates.append(Gate("measure", (q,)))
+                    continue
+                if m is None:
+                    raise QasmError(f"cannot parse statement {stmt!r}", line)
+                if m[1] in _KNOWN_UNSUPPORTED:
+                    raise QasmError(f"unsupported construct {m[1]!r}", line)
                 raise QasmError(f"unsupported statement {stmt!r}", line)
-            params = tuple(_eval_param(p, line) for p in params_text.split(",")) if params_text else ()
+            head, params_text, args_text = m.groups()
+            params = tuple([value_of(p, line) for p in params_text.split(",")]) if params_text else ()
             toks = args_text.split(",")
             qubits = [q for tok in toks for q in operand_of(tok, qreg, "quantum", line)]
             if head == "barrier":

@@ -24,6 +24,7 @@ import math
 import random
 import statistics
 import time
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -96,8 +97,14 @@ class BenchmarkGroup:
 def generate_groups(
     suite: Sequence[str], size: int, count: int, seed: int = 0
 ) -> list[BenchmarkGroup]:
-    """Seeded sampling of `count` distinct size-`size` subsets of the suite."""
+    """Seeded sampling of `count` distinct size-`size` subsets of the suite.
+
+    A suite that names a program more than once is refused, naming it, before
+    any group is drawn: its copies would be drawn as distinct programs.
+    """
     names = list(suite)
+    if repeated := sorted(n for n, k in Counter(names).items() if k > 1):
+        raise QmuxError(f"suite repeats {', '.join(repeated)}")
     if size > len(names):
         raise QmuxError(f"group size {size} exceeds suite size {len(names)}")
     if count < 1:
@@ -125,7 +132,8 @@ def nested_prefix_groups(
     One master group of the largest size is drawn per id; the size-s variant
     is its first s members. A group at higher concurrency therefore contains
     the same programs plus extras, which is what makes per-id success
-    comparisons across sizes meaningful.
+    comparisons across sizes meaningful. The suite is checked as
+    `generate_groups` checks it, before a master group is drawn.
     """
     sizes = sorted(set(sizes))
     if not sizes or sizes[0] < 2:
@@ -550,8 +558,10 @@ def run_sweep(
     crosstalk    amplified crosstalk on, selection filter off (param 0) then
                  on (param 1), same sampled crosstalk map.
 
-    Names that are no bundled benchmark are all refused before a group is drawn;
-    each point's FidelityExperiment checks `seed` and `shots` before anything compiles.
+    Names that are no bundled benchmark are all refused before a group is drawn,
+    and so is a suite that repeats a name, since records and fidelities are
+    keyed by program name; each point's FidelityExperiment checks `seed` and
+    `shots` before anything compiles.
     """
     if kind not in SWEEP_KINDS:
         raise QmuxError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")

@@ -119,6 +119,15 @@ def test_group_validation(small_suite):
         generate_groups(small_suite, 31, 1, seed=0)
 
 
+@pytest.mark.parametrize(
+    "draw", [lambda s: generate_groups(s, 2, 1), lambda s: nested_prefix_groups(s, (2, 3), 1)],
+    ids=["generate_groups", "nested_prefix_groups"],
+)
+def test_a_suite_that_repeats_a_name_is_refused_naming_it(draw):
+    with pytest.raises(QmuxError, match="^suite repeats adder_n4, wstate_n3$"):
+        draw(["wstate_n3", "adder_n4", "wstate_n3", "fredkin_n3", "adder_n4"])
+
+
 def test_nested_prefix_groups_structure(small_suite):
     nested = nested_prefix_groups(small_suite, (2, 4, 6), 5, seed=3)
     assert sorted(nested) == [2, 4, 6]

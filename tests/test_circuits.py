@@ -1,21 +1,27 @@
 """Parser, depth, and gate-list behavior."""
 
+import hashlib
 import math
 import re
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmux.benchmarks import benchmark_path, load_benchmark
+from qmux import circuits
+from qmux.benchmarks import benchmark_path, load_benchmark, suite
 from qmux.circuits import Circuit, Gate, _statements, decompose_swaps, gate_list_depth, parse_qasm
 from qmux.errors import CircuitError, QasmError
 
 from oracles import layered_depth, qasm_text
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+# sha256 over repr((name, num_qubits, num_clbits, gates)) of every bundled
+# program, in suite order. Any change to what the parser builds changes it.
+GOLDEN_PARSE = "1b62ab3a88e947fe538baa0195b6fe67cf547bf1c758d814e3b263b25beb39a0"
 
 
 def test_parse_single_cx():
@@ -226,3 +232,40 @@ def test_parameters_parse_in_many_threads_at_once():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def test_bundled_programs_parse_to_the_golden_digest():
+    digest = hashlib.sha256()
+    for name in suite():
+        c = parse_qasm(benchmark_path(name).read_text(), name=name)
+        digest.update(repr((c.name, c.num_qubits, c.num_clbits, c.gates)).encode())
+    assert digest.hexdigest() == GOLDEN_PARSE
+
+
+def test_each_distinct_parameter_text_is_evaluated_once_per_call(monkeypatch):
+    evaluated = Counter()
+    evaluate = circuits._eval_param
+
+    def counted(text, line):
+        evaluated[text] += 1
+        return evaluate(text, line)
+
+    monkeypatch.setattr(circuits, "_eval_param", counted)
+    text = benchmark_path("qft_n4").read_text()  # repeats pi/4, -pi/4 and others
+    first = parse_qasm(text)
+    assert parse_qasm(text) == first
+    assert evaluated and set(evaluated.values()) == {2}
+
+
+def test_registers_past_the_size_limit_are_refused_at_their_line():
+    whole = parse_qasm(HEADER + "qreg q[1024];\nh q;")
+    assert whole.num_qubits == len(whole.gates) == 1024
+    digits = "9" * 5000  # more digits than int() reads
+    for program, line, message in (
+        ("qreg q[2000];\nh q;", 3, "quantum register of size 2000 exceeds the limit of 1024"),
+        ("creg c[2000];\nqreg q[2];", 3, "classical register of size 2000 exceeds the limit of 1024"),
+        (f"qreg q[{digits}];", 3, f"number {digits[:40]}... has too many digits"),
+        (f"qreg q[2];\nh q[{digits}];", 4, f"number {digits[:40]}... has too many digits"),
+    ):
+        with pytest.raises(QasmError, match=f"^line {line}: {re.escape(message)}$"):
+            parse_qasm(HEADER + program)
