@@ -125,13 +125,17 @@ def gate_list_depth(gates) -> int:
     depth = 0
     for gate in gates:
         qubits = gate.qubits
-        layer = 0
-        for q in qubits:
-            if level.get(q, 0) > layer:
-                layer = level[q]
-        layer += 1
-        for q in qubits:
-            level[q] = layer
+        if len(qubits) == 1:
+            q = qubits[0]
+            layer = level[q] = level.get(q, 0) + 1
+        else:
+            layer = 0
+            for q in qubits:
+                if level.get(q, 0) > layer:
+                    layer = level[q]
+            layer += 1
+            for q in qubits:
+                level[q] = layer
         if layer > depth:
             depth = layer
     return depth

@@ -240,9 +240,8 @@ def _seed_layout(program: _Program, ctx: _RegionContext) -> tuple[int, ...]:
     qubits; the layout is in region-local indices."""
     util, adj, dist = ctx.utility, ctx.adj, ctx.dist
     homes: dict[int, int] = {}
-    used = [False] * len(util)
+    free = list(range(len(util)))  # unplaced qubits, ascending
     for q in program.order:
-        free = [p for p, taken in enumerate(used) if not taken]
         partners = [homes[p] for p in program.partners[q] if p in homes]
         if partners:
             def score(p: int):
@@ -258,7 +257,7 @@ def _seed_layout(program: _Program, ctx: _RegionContext) -> tuple[int, ...]:
         else:
             best = max(free, key=lambda p: (util[p], -p))
         homes[q] = best
-        used[best] = True
+        free.remove(best)
     return tuple(homes[q] for q in range(len(program.order)))
 
 
@@ -303,6 +302,10 @@ def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
     stuck_limit = 2 * len(ctx.qubits) + 4
 
     todo = list(dag.roots)
+    # Logical operands of the blocked front and of the lookahead (the next
+    # pending gates not in it). Both change only when a gate executes, so they
+    # are gathered once per run of swaps; None until then.
+    front_ops = ahead = None
     while True:
         # Run what the layout allows, in any order: once nothing more can run,
         # the done set is the same whatever the order, and the front is blocked.
@@ -324,6 +327,7 @@ def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
         if progressed:
             stuck = 0
             decay.clear()
+            front_ops = ahead = None
         if not front:
             break
         front.sort()
@@ -343,20 +347,28 @@ def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
             decisions.append(tuple(walk))
             stuck = 0
         else:
-            # Pairs the score sums over, each with its weighted distances: the
-            # blocked front, then the lookahead (the next pending gates not in it).
-            pairs = [(layout[qubits[i][0]], layout[qubits[i][1]], dist) for i in front]
-            n_blocked = len(pairs)
-            while state[first_open] == 2:
-                first_open += 1
-            for i in range(first_open, n):
-                if not state[i]:
-                    a, b = qubits[i]
-                    pairs.append((layout[a], layout[b], extended))
-                    if len(pairs) == n_blocked + _LOOKAHEAD:
-                        break
-
-            candidates = sorted({e for a, b, _ in pairs[:n_blocked] for e in incident[a] + incident[b]})
+            if ahead is None:
+                front_ops = [qubits[i] for i in front]
+                while state[first_open] == 2:
+                    first_open += 1
+                ahead = []
+                for i in range(first_open, n):
+                    if not state[i]:
+                        ahead.append(qubits[i])
+                        if len(ahead) == _LOOKAHEAD:
+                            break
+            # The physical pairs the score sums over: blocked ones on `dist`,
+            # lookahead ones on `extended`.
+            look = [(layout[a], layout[b]) for a, b in ahead]
+            if len(front_ops) == 1:
+                # Its endpoints are not adjacent, so their links are distinct.
+                ((a, b),) = front_ops
+                a, b = layout[a], layout[b]
+                blocked = [(a, b)]
+                candidates = sorted(incident[a] + incident[b])
+            else:
+                blocked = [(layout[a], layout[b]) for a, b in front_ops]
+                candidates = sorted({e for a, b in blocked for e in incident[a] + incident[b]})
             # Score each candidate SWAP by the weighted distance sum of the pairs
             # after it is applied, added in pair order; the first lowest-scoring
             # edge in sorted order wins. `moved` maps each qubit to its place
@@ -366,13 +378,16 @@ def _route_gates(dag: _GateDag, layout, ctx: _RegionContext):
             for edge in candidates:
                 p0, p1 = edge
                 moved[p0], moved[p1] = p1, p0
-                total = decay.get(edge, 0.0)
-                for a, b, table in pairs:
-                    total += table[moved[a]][moved[b]]
+                total = decay.get(edge, 0.0) if decay else 0.0
+                for a, b in blocked:
+                    total += dist[moved[a]][moved[b]]
+                for a, b in look:
+                    total += extended[moved[a]][moved[b]]
                 moved[p0], moved[p1] = p0, p1
                 if best is None or total < best_score:
                     best, best_score = edge, total
-            _swap(layout, p2l, *best)
+            p0, p1 = best  # unpacked here: a star call costs more than the swap
+            _swap(layout, p2l, p0, p1)
             swaps += 1
             decisions.append((best,))
             decay[best] = decay.get(best, 0.0) + _DECAY_STEP
@@ -393,14 +408,6 @@ def _emit(program: _Program, layout: tuple[int, ...], decisions, ctx: _RegionCon
     program, kept in `program.gates`; racing threads keep the first stored.
     """
     built = program.gates
-
-    def gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> Gate:
-        key = (name, qubits, params)
-        g = built.get(key)
-        if g is None:
-            g = built.setdefault(key, Gate(name, qubits, params))
-        return g
-
     source, two, dag = program.source, program.two, program.dag
     succs, adj, phys = dag.succs, ctx.adj, ctx.qubits
     layout = list(layout)
@@ -426,9 +433,13 @@ def _emit(program: _Program, layout: tuple[int, ...], decisions, ctx: _RegionCon
                     if pb not in adj[pa]:
                         blocked.append(i)
                         continue
-                    out.append(gate(g.name, (phys[pa], phys[pb]), g.params))
+                    key = (g.name, (phys[pa], phys[pb]), g.params)
+                elif len(qs) == 1:
+                    key = (g.name, (phys[layout[qs[0]]],), g.params)
                 else:
-                    out.append(gate(g.name, tuple([phys[layout[q]] for q in qs]), g.params))
+                    key = (g.name, tuple([phys[layout[q]] for q in qs]), g.params)
+                # A Gate is never falsy, so `or` builds one only when the key is new.
+                out.append(built.get(key) or built.setdefault(key, Gate(*key)))
                 for s in succs[i]:
                     blockers[s] -= 1
                     if blockers[s] == 0:
@@ -437,8 +448,10 @@ def _emit(program: _Program, layout: tuple[int, ...], decisions, ctx: _RegionCon
             front = blocked + ready
         if front:
             for p0, p1 in next(steps):
-                first = gate("cx", (phys[p0], phys[p1]), ())
-                out.extend((first, gate("cx", (phys[p1], phys[p0]), ()), first))
+                a, b = phys[p0], phys[p1]
+                there, back = ("cx", (a, b), ()), ("cx", (b, a), ())
+                first = built.get(there) or built.setdefault(there, Gate(*there))
+                out += (first, built.get(back) or built.setdefault(back, Gate(*back)), first)
                 _swap(layout, p2l, p0, p1)
     return tuple(out)
 

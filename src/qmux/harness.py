@@ -132,12 +132,15 @@ def nested_prefix_groups(
     One master group of the largest size is drawn per id; the size-s variant
     is its first s members. A group at higher concurrency therefore contains
     the same programs plus extras, which is what makes per-id success
-    comparisons across sizes meaningful. The suite is checked as
-    `generate_groups` checks it, before a master group is drawn.
+    comparisons across sizes meaningful. Before a master group is drawn, a
+    suite smaller than the largest size is refused naming that concurrency,
+    and the rest is checked as `generate_groups` checks it.
     """
     sizes = sorted(set(sizes))
     if not sizes or sizes[0] < 2:
         raise QmuxError("sizes must all be at least 2")
+    if sizes[-1] > len(suite):
+        raise QmuxError(f"concurrency {sizes[-1]} exceeds suite size {len(suite)}")
     masters = generate_groups(suite, sizes[-1], count, seed)
     # Master members arrive sorted; reshuffle each so prefixes are not biased
     # toward the alphabetical front of the suite.

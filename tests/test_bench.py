@@ -140,6 +140,11 @@ def test_nested_prefix_groups_structure(small_suite):
         assert nested[4][i].members == big[:4]
 
 
+def test_nested_prefix_groups_refuse_a_concurrency_past_the_suite_naming_it():
+    with pytest.raises(QmuxError, match="^concurrency 5 exceeds suite size 4$"):
+        nested_prefix_groups(["wstate_n3", "adder_n4", "fredkin_n3", "deutsch_n2"], (2, 5, 3), 1)
+
+
 def test_oracle_tops_concurrent_execution(trio):
     _, reports = trio
     oracle_mean, flamenco_mean = _paired_means(reports["oracle"], reports["flamenco"])
@@ -1141,6 +1146,16 @@ def test_cli_bench_suite_too_small_for_groups(tmp_path, capsys):
     assert main([*argv.split(), "--groups", "2", "--shots", "64", "--out", str(tmp_path / "b")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_cli_bench_names_the_default_concurrency_past_the_suite(tmp_path, capsys):
+    # No group size is given; 10 is the largest default concurrency.
+    argv = "bench --kind concurrency --device heavyhex27 --groups 1 --shots 8 --suite adder_n4 wstate_n3"
+    assert main([*argv.split(), "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "concurrency 10 exceeds suite size 2" in err and "group size" not in err
     assert not (tmp_path / "b.csv").exists()
 
 

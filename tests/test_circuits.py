@@ -193,6 +193,35 @@ def test_depth_properties(gates):
     assert gate_list_depth(longer.gates) >= d
 
 
+def _levels_by_pairs(gates) -> int:
+    """Depth as the definition reads: a gate's level is one more than the
+    highest level of any earlier gate it shares an operand with."""
+    levels: list[int] = []
+    for i, g in enumerate(gates):
+        below = [levels[j] for j in range(i) if set(gates[j].qubits) & set(g.qubits)]
+        levels.append(1 + max(below, default=0))
+    return max(levels, default=0)
+
+
+_qubit6 = st.integers(0, 5)
+_any_gate = st.one_of(
+    st.builds(Gate, st.sampled_from(["h", "x", "sdg", "measure"]), st.tuples(_qubit6)),
+    st.builds(Gate, st.just("u3"), st.tuples(_qubit6), st.just((0.1, 0.2, 0.3))),
+    st.builds(
+        Gate,
+        st.sampled_from(["cx", "swap"]),
+        st.lists(_qubit6, min_size=2, max_size=2, unique=True).map(tuple),
+    ),
+    st.builds(Gate, st.just("barrier"), st.lists(_qubit6, min_size=1, max_size=6, unique=True).map(tuple)),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_any_gate, max_size=40))
+def test_depth_is_the_highest_level_by_its_definition(gates):
+    assert gate_list_depth(gates) == _levels_by_pairs(gates)
+
+
 @settings(deadline=None)
 @given(st.lists(_gate, min_size=0, max_size=20))
 def test_parse_print_roundtrip(gates):

@@ -128,3 +128,40 @@ def test_stuck_routing_walks_the_oldest_pair_home_as_the_reference_does():
         circuit, region, device, layout
     )
     assert _compiled(circuit, region, device) == reference_compile(circuit, region, device)
+
+
+def test_a_link_two_blocked_pairs_share_is_one_candidate_as_in_the_reference():
+    device = make_path(6)
+    region = _whole_device_region(device)
+    circuit = Circuit("two_blocked", 4, (Gate("cx", (0, 1)), Gate("cx", (2, 3)), Gate("cx", (1, 2))))
+    # The first front holds cx(0, 1) on qubits 0 and 2 and cx(2, 3) on 3 and
+    # 5, both blocked; link (2, 3) is incident to both pairs.
+    layout = (0, 2, 3, 5)
+    incident = compiler._region_context(region, device).incident
+    assert set(incident[0] + incident[2]) & set(incident[3] + incident[5]) == {(2, 3)}
+    passes = {}
+    routed = route(circuit, region, device, layout, passes=passes)
+    ((_, swaps, decisions),) = passes.values()
+    assert swaps == routed.swap_count == len(decisions) == 2
+    assert (routed.gates, routed.final_layout, routed.swap_count) == reference_route(
+        circuit, region, device, layout
+    )
+    assert _compiled(circuit, region, device) == reference_compile(circuit, region, device)
+
+
+def test_fronts_of_one_blocked_gate_match_the_reference():
+    device = make_path(6)
+    region = _whole_device_region(device)
+    # Every cx acts on qubit 0, so each front holds at most one of them.
+    pairs = ((0, 4), (0, 2), (0, 4), (0, 1), (0, 3))
+    circuit = Circuit("one_blocked", 5, tuple(Gate("cx", p) for p in pairs) + (Gate("h", (0,)),))
+    assert compiler._program(circuit).forward.succs == [[1, 2], [2], [3], [4], []]
+    layout = (0, 1, 2, 3, 5)
+    passes = {}
+    routed = route(circuit, region, device, layout, passes=passes)
+    ((_, swaps, decisions),) = passes.values()
+    assert swaps == routed.swap_count == len(decisions) == 6
+    assert (routed.gates, routed.final_layout, routed.swap_count) == reference_route(
+        circuit, region, device, layout
+    )
+    assert _compiled(circuit, region, device) == reference_compile(circuit, region, device)
